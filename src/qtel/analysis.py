@@ -80,6 +80,11 @@ class ExponentialFit:
     t_window: tuple[float, float]
 
 
+def _local_maxima(signal: np.ndarray) -> np.ndarray:
+    """Indices of interior samples no lower than either neighbour."""
+    return np.nonzero((signal[1:-1] >= signal[:-2]) & (signal[1:-1] >= signal[2:]))[0] + 1
+
+
 def _runs(mask: np.ndarray):
     """Yield (start, stop) index pairs of maximal True runs."""
     i = 0
@@ -210,7 +215,7 @@ def fit_exponential_decay(
     if len(tt) < 4:
         raise ValueError("too few points above the floor to fit a decay rate")
     if envelope:
-        peaks = [i for i in range(1, len(ss) - 1) if ss[i] >= ss[i - 1] and ss[i] >= ss[i + 1]]
+        peaks = _local_maxima(ss)
         if len(peaks) >= 8:
             tt, ss = tt[peaks], ss[peaks]
     slope, intercept = np.polyfit(tt, np.log(ss), 1)

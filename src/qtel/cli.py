@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import click
@@ -83,15 +83,14 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
 
-    _FIELDS = None  # populated after class definition
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         errors = []
-        unknown = sorted(set(raw) - set(cls._FIELDS))
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(raw) - names)
         if unknown:
             errors.append(f"unknown config fields: {', '.join(unknown)}")
-        known = {k: v for k, v in raw.items() if k in cls._FIELDS}
+        known = {k: v for k, v in raw.items() if k in names}
         if "experiment" not in known:
             errors.append("experiment: required")
             raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
@@ -186,15 +185,12 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = {}
-        for name in self._FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value = value.tolist()
-            out[name] = value
+            out[f.name] = value
         return out
-
-
-ExperimentConfig._FIELDS = tuple(ExperimentConfig.__dataclass_fields__)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ inserted between free-evolution segments, composing three protocols:
 
 Every composed operator is the boundary contraction of a product of
 ``exp(-t_k * generator)`` segments and ``I (x) rotation`` pulse factors
-on the joint fluctuator-Bloch space.
+on the joint fluctuator-Bloch space.  The protocols share one engine that
+applies these factors to the ``d x 3`` preparation block over a time grid,
+except that bang-bang powers its ``d x d`` period operator for its rates.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .superop import (
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
-    _contract_real,
     _exp_generator,
+    _real_transfer,
 )
 
 __all__ = [
@@ -129,9 +131,32 @@ class BangBangResult:
     axis: str
 
 
-def _pulse_operator(dim_f: int, axis, angle: float) -> np.ndarray:
-    """Pulse rotation lifted to the joint space (identity on fluctuators)."""
-    return np.kron(np.eye(dim_f, dtype=complex), rotation_matrix(axis, angle).astype(complex))
+def _compose(sys: SystemSpec, sd: SpectralDecomposition | None, steps) -> np.ndarray:
+    """Real ``T x 3 x 3`` transfer matrices of a schedule (T = 1 without a grid).
+
+    ``steps`` lists in order of action ``("free", t)``, t a duration or a grid
+    of T durations, and ``("pulse", R)``, R a 3x3 rotation of the Bloch index.
+    """
+    if sd is None:
+        sd = spectral_decomposition(decoherence_generator(sys))
+    readout, prepare = boundary_projectors(sys)
+    d = sd.dimension
+    # Held as d x T x 3 so that each factor is one product with d x (T * 3).
+    block = prepare.astype(complex)[:, None, :]
+    spectral = not sd.defective and sd.left_vectors is not None
+    for kind, value in steps:
+        if kind == "pulse":
+            block = (value @ block.reshape(d // 3, 3, -1)).reshape(block.shape)
+        elif spectral:
+            decay = np.exp(-np.multiply.outer(sd.eigenvalues, np.ravel(value)))[:, :, None]
+            coeffs = decay * (sd.left_vectors @ block.reshape(d, -1)).reshape(block.shape)
+            block = (sd.right_vectors @ coeffs.reshape(d, -1)).reshape(coeffs.shape)
+        else:
+            times, source = np.broadcast_arrays(np.ravel(value)[None, :, None], block)
+            block = np.empty(source.shape, dtype=complex)
+            for i, t in enumerate(times[0, :, 0]):
+                block[:, i] = _exp_generator(sd, float(t)) @ source[:, i]
+    return _real_transfer((readout @ block.reshape(d, -1)).reshape(3, -1, 3).transpose(1, 0, 2))
 
 
 def free_trajectory(sys: SystemSpec, n0, t_grid) -> BlochTrajectory:
@@ -167,11 +192,11 @@ def bang_bang_operator(
 ) -> BangBangResult:
     """Periodic train of pi pulses separated by free evolution tau.
 
-    One period is ``exp(-tau * generator)`` followed by an instantaneous
-    pi rotation about the chosen axis; the returned transfer matrix is
-    the boundary contraction of the period operator raised to
-    ``n_pulses``.  The decay rates with pulses follow from the
-    eigenvalues of the one-period operator exactly as the free rates
+    One period is an instantaneous pi rotation about the chosen axis, then
+    free evolution ``exp(-tau * generator)``: the pulses act at ``t = k tau``,
+    ``k = 0 .. n_pulses - 1``.  The transfer matrix is the boundary
+    contraction of the period operator raised to ``n_pulses``; the pulsed
+    decay rates follow from its eigenvalues exactly as the free rates
     follow from the generator spectrum.
     """
     if tau <= 0:
@@ -182,8 +207,9 @@ def bang_bang_operator(
         raise ValueError("axis must be 'x' or 'y'")
     if sd is None:
         sd = spectral_decomposition(decoherence_generator(sys))
-    dim_f = 2**sys.n_fluctuators
-    period = _exp_generator(sd, tau) @ _pulse_operator(dim_f, _AXES[axis], np.pi)
+    free = _exp_generator(sd, tau)
+    # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
+    period = (free.reshape(-1, 3) @ rotation_matrix(_AXES[axis], np.pi)).reshape(free.shape)
 
     eigenvalues, right = np.linalg.eig(period)
     if not np.isfinite(cond := np.linalg.cond(right)) or cond > 1e10:
@@ -199,9 +225,7 @@ def bang_bang_operator(
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
     rates = channel_rates_from_modes(candidate_rates, weights, method="spectral-weight")
 
-    transfer = _contract_real(
-        np.linalg.matrix_power(period, n_pulses), readout, prepare
-    )
+    transfer = _real_transfer(readout @ np.linalg.matrix_power(period, n_pulses) @ prepare)
     return BangBangResult(
         transfer=transfer,
         eigenvalues=eigenvalues,
@@ -222,21 +246,13 @@ def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None
     (z, z) element of the composed transfer matrix; at t = 0 the three
     pulses compose to a full turn and the signal is 1.
     """
-    if sd is None:
-        sd = spectral_decomposition(decoherence_generator(sys))
-    dim_f = 2**sys.n_fluctuators
-    half = _pulse_operator(dim_f, _AXES["x"], np.pi / 2.0)
-    flip = _pulse_operator(dim_f, _AXES["x"], np.pi)
-    readout, prepare = boundary_projectors(sys)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
+    seg = 0.5 * np.asarray(t_grid, dtype=float)
+    if np.any(seg < 0):
         raise ValueError("echo times must be >= 0")
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        seg = _exp_generator(sd, 0.5 * float(t))
-        composed = half @ seg @ flip @ seg @ half
-        out[i] = _contract_real(composed, readout, prepare)[2, 2]
-    return out
+    half = rotation_matrix(_AXES["x"], np.pi / 2.0)
+    flip = rotation_matrix(_AXES["x"], np.pi)
+    steps = [("pulse", half), ("free", seg), ("pulse", flip), ("free", seg), ("pulse", half)]
+    return _compose(sys, sd, steps)[:, 2, 2].copy()
 
 
 def sequence_operator(
@@ -255,18 +271,12 @@ def sequence_operator(
         raise ValueError("t_final must be >= 0")
     if seq.events and seq.events[-1][0] > t_final:
         raise ValueError("pulse events must not occur after t_final")
-    if sd is None:
-        sd = spectral_decomposition(decoherence_generator(sys))
-    dim_f = 2**sys.n_fluctuators
-    readout, prepare = boundary_projectors(sys)
-
-    composed = np.eye(sd.operator.dimension, dtype=complex)
-    cursor = 0.0
+    steps, cursor = [], 0.0
     for time, axis, angle in seq.events:
         if time > cursor:
-            composed = _exp_generator(sd, time - cursor) @ composed
+            steps.append(("free", time - cursor))
             cursor = time
-        composed = _pulse_operator(dim_f, axis, angle) @ composed
+        steps.append(("pulse", rotation_matrix(axis, angle)))
     if t_final > cursor:
-        composed = _exp_generator(sd, t_final - cursor) @ composed
-    return _contract_real(composed, readout, prepare)
+        steps.append(("free", t_final - cursor))
+    return _compose(sys, sd, steps)[0]

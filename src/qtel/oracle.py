@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .model import FluctuatorSpec, SystemSpec, as_bloch_array, step_rotation
+from .model import (FluctuatorSpec, SystemSpec, as_bloch_array, stationary_distribution,
+                    step_rotation)
 
 __all__ = [
     "SequenceEnsembleResult",
@@ -112,21 +113,23 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
 
     n_seq = 2**n_steps
-    # Level index of every sequence at every step: 0 for s=+1, 1 for s=-1.
+    # Bit k of a sequence's code is its level at step k: 0 for s=+1, 1 for s=-1.
     codes = np.arange(n_seq, dtype=np.uint32)
-    levels = np.empty((n_seq, n_steps), dtype=np.intp)
-    for k in range(n_steps):
-        levels[:, k] = (codes >> k) & 1
 
-    probs = p_start[levels[:, 0]].copy()
+    probs = p_start[codes & 1]
     for k in range(n_steps - 1):
-        probs *= w[levels[:, k + 1], levels[:, k]]
+        probs *= w[(codes >> (k + 1)) & 1, (codes >> k) & 1]
 
-    transfer = rot[levels[:, 0]]
+    transfer = rot[codes & 1]
     for k in range(1, n_steps):
-        transfer = rot[levels[:, k]] @ transfer
+        transfer = rot[(codes >> k) & 1] @ transfer
 
-    t_matrix = np.einsum("s,sij->ij", probs, transfer)
+    # Pairwise sum in place: a running sum over 2**18 terms drifts past 1e-12.
+    terms = transfer.reshape(n_seq, 9)
+    terms *= probs[:, None]
+    for k in range(n_steps, 0, -1):
+        terms[: 2 ** (k - 1)] += terms[2 ** (k - 1) : 2**k]
+    t_matrix = terms[0].reshape(3, 3).copy()  # a view would pin all 2**n products
     return SequenceEnsembleResult(
         t_matrix=t_matrix,
         n_steps=n_steps,
@@ -261,8 +264,7 @@ def sample_dwell_times(f: FluctuatorSpec, n_dwells: int, seed: int) -> np.ndarra
     if f.gamma <= 0.0:
         raise ValueError("frozen fluctuator has no finite dwell times")
     rng = np.random.default_rng(seed)
-    p_plus = (f.gamma - f.eta) / (2.0 * f.gamma)
-    state = 1 if rng.random() < p_plus else -1
+    state = 1 if rng.random() < stationary_distribution(f).p_plus else -1
     signs = state * (-1) ** np.arange(n_dwells)
     rates = f.gamma + f.eta * signs
     if np.any(rates <= 0):
@@ -273,7 +275,7 @@ def sample_dwell_times(f: FluctuatorSpec, n_dwells: int, seed: int) -> np.ndarra
 def _sample_states_on_grid(f: FluctuatorSpec, n_grid: int, dt: float,
                            n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Stationary telegraph states on a uniform grid, exact dwell times."""
-    p_plus = (f.gamma - f.eta) / (2.0 * f.gamma)
+    p_plus = stationary_distribution(f).p_plus
     states = np.where(rng.random(n_samples) < p_plus, 1, -1).astype(np.int8)
     next_switch = rng.exponential(1.0, n_samples) / (f.gamma + f.eta * states)
     out = np.empty((n_samples, n_grid), dtype=np.int8)

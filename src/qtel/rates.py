@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _local_maxima
 from .model import FluctuatorSpec, SystemSpec
 from .superop import (
     SpectralDecomposition,
@@ -218,11 +219,7 @@ def _fit_envelope_rate(times: np.ndarray, signal: np.ndarray) -> float:
     dominant-weight mode rather than an asymptotically slow tail of
     negligible amplitude.
     """
-    peaks = [
-        i
-        for i in range(1, len(signal) - 1)
-        if signal[i] >= signal[i - 1] and signal[i] >= signal[i + 1]
-    ]
+    peaks = _local_maxima(signal)
     if len(peaks) >= 6:
         tt, ss = times[peaks], signal[peaks]
     else:

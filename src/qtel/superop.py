@@ -44,8 +44,6 @@ __all__ = [
 KIND_STEP = "discrete-step"
 KIND_GENERATOR = "generator"
 
-ORDERING = "fluctuator-major"
-
 # Eigenvector-matrix condition number beyond which the decomposition is
 # treated as (near-)defective and exp(-t P) falls back to
 # scaling-and-squaring.
@@ -83,7 +81,6 @@ class Superoperator:
     kind: str
     system: SystemSpec
     dt: float | None = None
-    ordering: str = ORDERING
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
@@ -271,9 +268,9 @@ def _exp_generator(sd: SpectralDecomposition, t: float) -> np.ndarray:
     return scipy.linalg.expm(-t * sd.operator.mat)
 
 
-def _contract_real(full: np.ndarray, readout: np.ndarray, prepare: np.ndarray) -> np.ndarray:
-    transfer = readout @ full @ prepare
-    max_imag = float(np.abs(transfer.imag).max())
+def _real_transfer(transfer: np.ndarray) -> np.ndarray:
+    """Real part of contracted transfer matrices, imaginary part checked."""
+    max_imag = float(np.abs(transfer.imag).max(initial=0.0))
     if max_imag > IMAG_TOL:
         raise ContractionError(
             f"contracted transfer matrix has imaginary part {max_imag:.3e} "
@@ -312,7 +309,7 @@ def evolve_operator(
         sd = spectral_decomposition(op)
     full = _exp_generator(sd, t)
     readout, prepare = boundary_projectors(op.system)
-    return full, _contract_real(full, readout, prepare)
+    return full, _real_transfer(readout @ full @ prepare)
 
 
 def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
@@ -335,17 +332,10 @@ def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
         a = readout @ sd.right_vectors
         b = sd.left_vectors @ prepare
         decay = np.exp(-np.outer(times, sd.eigenvalues))
-        stacked = np.einsum("ck,tk,kd->tcd", a, decay, b)
-        max_imag = float(np.abs(stacked.imag).max()) if len(times) else 0.0
-        if max_imag > IMAG_TOL:
-            raise ContractionError(
-                f"contracted transfer matrix has imaginary part {max_imag:.3e}"
-            )
-        out[:] = stacked.real
+        out[:] = _real_transfer(np.einsum("ck,tk,kd->tcd", a, decay, b))
     else:
         for i, t in enumerate(times):
-            full = _exp_generator(sd, float(t))
-            out[i] = _contract_real(full, readout, prepare)
+            out[i] = _real_transfer(readout @ _exp_generator(sd, float(t)) @ prepare)
     # t = 0 is the exact identity by definition.
     out[times == 0.0] = np.eye(3)
     return out

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qtel import detect_plateaus, detect_steps, fit_exponential_decay
+from qtel.analysis import _local_maxima
 
 
 def staircase(times, period=8.0, ratio=0.45, edge=0.4):
@@ -85,3 +86,12 @@ class TestExponentialFit:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="too few"):
             fit_exponential_decay(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+
+
+class TestLocalMaxima:
+    def test_matches_loop_reference(self, rng):
+        # Rounded samples force ties, which count as maxima.
+        for n in (0, 1, 2, 3, 50):
+            s = np.round(rng.normal(size=n), 1)
+            loop = [i for i in range(1, n - 1) if s[i] >= s[i - 1] and s[i] >= s[i + 1]]
+            assert _local_maxima(s).tolist() == loop

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qtel import (
     BlochTrajectory,
+    FluctuatorSpec,
     PulseSequence,
+    SystemSpec,
     bang_bang_operator,
     decoherence_generator,
     detect_plateaus,
@@ -18,6 +21,7 @@ from qtel import (
     spectral_decomposition,
     to_rotating_frame,
 )
+from qtel.superop import boundary_projectors
 
 from conftest import make_system
 
@@ -208,6 +212,89 @@ class TestSequenceOperator:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             PulseSequence(events=((0.0, np.array([1.0, 1.0, 0.0]), np.pi),))
+
+
+def expm_schedule(sys, factors):
+    """Boundary contraction of expm segments and Kronecker-lifted pulses.
+
+    ``factors`` lists, in the order they act, durations and
+    ``(axis, angle)`` pulses; the pulse rotation is the matrix exponential
+    of the axis cross-product generator.
+    """
+    gen = decoherence_generator(sys).mat
+    full = np.eye(len(gen))
+    for factor in factors:
+        if isinstance(factor, tuple):
+            (x, y, z), angle = factor
+            cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+            step = np.kron(np.eye(2**sys.n_fluctuators), scipy.linalg.expm(angle * cross))
+        else:
+            step = scipy.linalg.expm(-factor * gen)
+        full = step @ full
+    readout, prepare = boundary_projectors(sys)
+    return (readout @ full @ prepare).real
+
+
+def two_fluctuator_system():
+    return SystemSpec(
+        b0=1.0,
+        fluctuators=(
+            FluctuatorSpec(g=[0.2, 0.1, 0.25], gamma=0.15, eta=0.05),
+            FluctuatorSpec(g=[-0.1, 0.3, 0.05], gamma=0.6, eta=-0.2),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "sys, defective",
+    [
+        (make_system(g=0.3, theta=np.pi / 4, gamma=0.1, eta=0.04), True),
+        (two_fluctuator_system(), False),
+        (two_fluctuator_system(), True),
+    ],
+    ids=["one-defective", "two", "two-defective"],
+)
+class TestScheduleEngineAgainstExpm:
+    """Pulse compositions against expm products on the full joint space."""
+
+    @staticmethod
+    def decomposition(sys, defective):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        if defective:
+            object.__setattr__(sd, "defective", True)
+        return sd
+
+    def test_echo_signal(self, sys, defective):
+        times = np.array([0.0, 0.7, 3.1, 8.4, 15.0])
+        signal = echo_signal(sys, times, sd=self.decomposition(sys, defective))
+        half, flip = (X_AXIS, np.pi / 2), (X_AXIS, np.pi)
+        expected = [
+            expm_schedule(sys, [half, t / 2, flip, t / 2, half])[2, 2] for t in times
+        ]
+        assert_allclose(signal, expected, rtol=0, atol=1e-10)
+
+    def test_sequence_operator(self, sys, defective):
+        axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        seq = PulseSequence(
+            events=(
+                (0.0, X_AXIS, np.pi / 2),
+                (1.1, Y_AXIS, np.pi),
+                (1.1, axis, 0.77),
+                (3.4, Y_AXIS, np.pi),
+            )
+        )
+        composed = sequence_operator(sys, seq, 5.0, sd=self.decomposition(sys, defective))
+        expected = expm_schedule(
+            sys,
+            [(X_AXIS, np.pi / 2), 1.1, (Y_AXIS, np.pi), (axis, 0.77), 2.3, (Y_AXIS, np.pi), 1.6],
+        )
+        assert_allclose(composed, expected, rtol=0, atol=1e-10)
+
+    def test_bang_bang_transfer(self, sys, defective):
+        tau, n = 1.3, 6
+        result = bang_bang_operator(sys, tau, n, axis="x", sd=self.decomposition(sys, defective))
+        expected = expm_schedule(sys, [(X_AXIS, np.pi), tau] * n)
+        assert_allclose(result.transfer, expected, rtol=0, atol=1e-10)
 
 
 class TestBlochTrajectory:

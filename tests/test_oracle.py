@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from qtel import (
     FluctuatorSpec,
+    SystemSpec,
     decoherence_generator,
     discrete_transfer_operator,
     empirical_spectrum,
@@ -62,6 +63,22 @@ class TestEnumeration:
             result = enumerate_sequences(sys, dt=dt, n_steps=n)
             assert np.abs(result.t_matrix - powered_contraction(sys, dt, n)).max() < 1e-12
             assert abs(result.total_probability - 1.0) < 1e-12
+
+    def test_long_enumeration_sum_does_not_drift(self):
+        # 2**18 weighted terms: a running sum missed the powered step by
+        # 1.035e-12 here; the tolerance stays at 1e-12.
+        g = np.array([0.11895155906844336, 0.0, 0.023195111276308102])
+        sys = SystemSpec(
+            b0=1.0,
+            fluctuators=(
+                FluctuatorSpec(g=g, gamma=0.5978298545026773, eta=-0.25171878785453866),
+            ),
+        )
+        result = enumerate_sequences(sys, dt=0.1, n_steps=18)
+        assert np.abs(result.t_matrix - powered_contraction(sys, 0.1, 18)).max() < 1e-12
+        assert abs(result.total_probability - 1.0) < 1e-12
+        # The result must not keep the 2**18 summed products alive.
+        assert result.t_matrix.base is None
 
     def test_decoupled_noise_leaves_pure_precession(self):
         sys = make_system(g=0.0, gamma=0.4)
