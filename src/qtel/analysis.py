@@ -41,6 +41,12 @@ MIN_LOG_DEPTH = 0.2
 # segment drop events.
 DROP_SLOPE_FRACTION = 0.25
 
+# A plateau spans at least this many samples.
+MIN_PLATEAU_POINTS = 3
+
+# The decay fit stops where |signal| falls to this level.
+FIT_FLOOR = 0.02
+
 
 @dataclass(frozen=True)
 class Plateau:
@@ -101,17 +107,12 @@ def _runs(mask: np.ndarray):
 
 
 def detect_plateaus(
-    times,
-    signal,
-    slope_fraction: float = FLAT_SLOPE_FRACTION,
-    min_points: int = 3,
-    log_scale: bool = False,
-    include_leading: bool = False,
+    times, signal, log_scale: bool = False, include_leading: bool = False
 ) -> tuple[Plateau, ...]:
     """Maximal flat stretches of a sampled curve.
 
-    A plateau is a run of at least ``min_points`` samples whose
-    |slope| stays below ``slope_fraction`` times the curve's maximum
+    A plateau is a run of at least ``MIN_PLATEAU_POINTS`` samples whose
+    |slope| stays below ``FLAT_SLOPE_FRACTION`` times the curve's maximum
     |slope|.  The run containing t = 0 is excluded unless
     ``include_leading`` is set (every echo curve starts flat).  With
     ``log_scale`` the slope is measured on log|signal|, which treats
@@ -127,10 +128,10 @@ def detect_plateaus(
     peak = np.abs(slope).max()
     if peak == 0.0:
         return ()
-    flat = np.abs(slope) < slope_fraction * peak
+    flat = np.abs(slope) < FLAT_SLOPE_FRACTION * peak
     out = []
     for i, j in _runs(flat):
-        if j - i + 1 < min_points:
+        if j - i + 1 < MIN_PLATEAU_POINTS:
             continue
         if i == 0 and not include_leading:
             continue
@@ -138,21 +139,14 @@ def detect_plateaus(
     return tuple(out)
 
 
-def detect_steps(
-    times,
-    signal,
-    drop_slope_fraction: float = DROP_SLOPE_FRACTION,
-    min_log_depth: float = MIN_LOG_DEPTH,
-    slope_fraction: float = FLAT_SLOPE_FRACTION,
-    min_points: int = 3,
-) -> StepStructure:
+def detect_steps(times, signal) -> StepStructure:
     """Locate staircase steps in a decaying signal.
 
     Works on log|signal| so that successive drops of equal fractional
     size register equally.  A drop event is a maximal run where the
-    log-slope is steeper than ``drop_slope_fraction`` times the peak
+    log-slope is steeper than ``DROP_SLOPE_FRACTION`` times the peak
     downhill log-slope and where the signal loses at least
-    ``min_log_depth`` in log units.  A smooth exponential produces one
+    ``MIN_LOG_DEPTH`` in log units.  A smooth exponential produces one
     long event and no interior flats, hence no steps; micro-oscillations
     fail the depth cut.
 
@@ -170,13 +164,11 @@ def detect_steps(
         return StepStructure(has_steps=False, period=float("nan"), drop_times=(), plateaus=())
 
     drops = []
-    for i, j in _runs(slope < -drop_slope_fraction * peak_drop):
-        if logs[i] - logs[j] >= min_log_depth:
+    for i, j in _runs(slope < -DROP_SLOPE_FRACTION * peak_drop):
+        if logs[i] - logs[j] >= MIN_LOG_DEPTH:
             drops.append(0.5 * (times[i] + times[j]))
 
-    plateaus = detect_plateaus(
-        times, signal, slope_fraction=slope_fraction, min_points=min_points, log_scale=True
-    )
+    plateaus = detect_plateaus(times, signal, log_scale=True)
     has_steps = len(drops) >= 2 and len(plateaus) >= 1
 
     period = float("nan")
@@ -193,31 +185,24 @@ def detect_steps(
     )
 
 
-def fit_exponential_decay(
-    times,
-    signal,
-    t_skip: float = 0.0,
-    floor: float = 0.02,
-    envelope: bool = True,
-) -> ExponentialFit:
+def fit_exponential_decay(times, signal, t_skip: float = 0.0) -> ExponentialFit:
     """Log-linear fit of a decaying signal.
 
     Fits ``log|signal|`` against time over the window starting at
     ``t_skip`` (dropping the initial transient) and ending where the
-    signal falls below ``floor``.  When ``envelope`` is set and the
-    window contains enough local maxima, only the peak envelope is
-    fitted, which removes oscillation bias.
+    signal falls below ``FIT_FLOOR``.  When the window contains enough
+    local maxima, only the peak envelope is fitted, which removes
+    oscillation bias.
     """
     times = np.asarray(times, dtype=float)
     signal = np.abs(np.asarray(signal, dtype=float))
-    mask = (times >= t_skip) & (signal > floor)
+    mask = (times >= t_skip) & (signal > FIT_FLOOR)
     tt, ss = times[mask], signal[mask]
     if len(tt) < 4:
         raise ValueError("too few points above the floor to fit a decay rate")
-    if envelope:
-        peaks = _local_maxima(ss)
-        if len(peaks) >= 8:
-            tt, ss = tt[peaks], ss[peaks]
+    peaks = _local_maxima(ss)
+    if len(peaks) >= 8:
+        tt, ss = tt[peaks], ss[peaks]
     slope, intercept = np.polyfit(tt, np.log(ss), 1)
     residual = np.log(ss) - (slope * tt + intercept)
     total = np.log(ss) - np.log(ss).mean()

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .dynamics import bang_bang_operator, echo_signal, free_trajectory, to_rotating_frame
 from .model import FluctuatorSpec, SystemSpec
-from .oracle import enumerate_sequences, sample_trajectories
+from .oracle import MAX_ENUM_STEPS, enumerate_sequences, sample_trajectories
 from .rates import angle_sweep, extract_rates
 from .superop import (
     boundary_projectors,
@@ -133,6 +133,8 @@ class ExperimentConfig:
                 errors.append("theta_points or theta_values: required")
             if not self.eta_values:
                 errors.append("eta_values: required (use [0.0] for symmetric switching)")
+            elif any(abs(eta) > self.gamma for eta in self.eta_values):
+                errors.append("eta_values: each |eta| must not exceed gamma")
         if self.experiment == "echo" and not self.theta_values:
             errors.append("theta_values: required")
         if self.experiment in ("free-decay", "echo"):
@@ -162,10 +164,10 @@ class ExperimentConfig:
             if self.n_samples < 2:
                 errors.append("n_samples: must be >= 2")
         if self.experiment == "enum-verify":
-            if not 1 <= self.n_steps <= 20:
-                errors.append("n_steps: must be in [1, 20]")
-            if self.dt <= 0 or self.gamma * self.dt >= 1:
-                errors.append("dt: must satisfy 0 < gamma * dt < 1")
+            if not 1 <= self.n_steps <= MAX_ENUM_STEPS:
+                errors.append(f"n_steps: must be in [1, {MAX_ENUM_STEPS}]")
+            if not 0 < self.dt < ENUM_VERIFY_DT_MAX:
+                errors.append(f"dt: must lie in (0, {ENUM_VERIFY_DT_MAX:g}) for enum-verify")
         return errors
 
     def coupling_vector(self) -> np.ndarray:
@@ -362,6 +364,9 @@ ENUM_VERIFY_GRID = (
     (1.0, 0.0, 2.0, math.pi / 4),
     (0.05, 0.02, 0.8, 1.0),
 )
+
+# Below this dt every switching probability (gamma + |eta|) * dt of the grid stays below 1.
+ENUM_VERIFY_DT_MAX = min(1.0 / (gamma + abs(eta)) for gamma, eta, _, _ in ENUM_VERIFY_GRID)
 
 
 def _run_enum_verify(cfg: ExperimentConfig) -> ResultTable:

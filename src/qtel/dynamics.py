@@ -141,21 +141,29 @@ def _compose(sys: SystemSpec, sd: SpectralDecomposition | None, steps) -> np.nda
         sd = spectral_decomposition(decoherence_generator(sys))
     readout, prepare = boundary_projectors(sys)
     d = sd.dimension
-    # Held as d x T x 3 so that each factor is one product with d x (T * 3).
-    block = prepare.astype(complex)[:, None, :]
     spectral = not sd.defective and sd.left_vectors is not None
-    for kind, value in steps:
-        if kind == "pulse":
-            block = (value @ block.reshape(d // 3, 3, -1)).reshape(block.shape)
-        elif spectral:
-            decay = np.exp(-np.multiply.outer(sd.eigenvalues, np.ravel(value)))[:, :, None]
-            coeffs = decay * (sd.left_vectors @ block.reshape(d, -1)).reshape(block.shape)
-            block = (sd.right_vectors @ coeffs.reshape(d, -1)).reshape(coeffs.shape)
-        else:
-            times, source = np.broadcast_arrays(np.ravel(value)[None, :, None], block)
-            block = np.empty(source.shape, dtype=complex)
-            for i, t in enumerate(times[0, :, 0]):
-                block[:, i] = _exp_generator(sd, float(t)) @ source[:, i]
+    # The spectral form runs the whole grid in one pass.  The expm fallback runs
+    # one grid point per pass and holds only that point's propagators, so equal
+    # durations there, such as the two halves of an echo, share one expm.
+    n_times = max([np.size(t) for kind, t in steps if kind == "free"], default=1)
+    passes = []
+    for i in range(1 if spectral else n_times):
+        # Held as d x T x 3 so that each factor is one product with d x (T * 3).
+        block, propagators = prepare.astype(complex)[:, None, :], {}
+        for kind, value in steps:
+            if kind == "pulse":
+                block = (value @ block.reshape(d // 3, 3, -1)).reshape(block.shape)
+            elif spectral:
+                decay = np.exp(-np.multiply.outer(sd.eigenvalues, np.ravel(value)))[:, :, None]
+                coeffs = decay * (sd.left_vectors @ block.reshape(d, -1)).reshape(block.shape)
+                block = (sd.right_vectors @ coeffs.reshape(d, -1)).reshape(coeffs.shape)
+            else:
+                t = float(np.broadcast_to(np.ravel(value), n_times)[i])
+                if t not in propagators:
+                    propagators[t] = _exp_generator(sd, t)
+                block = (propagators[t] @ block.reshape(d, -1)).reshape(block.shape)
+        passes.append(block)
+    block = np.concatenate(passes, axis=1)
     return _real_transfer((readout @ block.reshape(d, -1)).reshape(3, -1, 3).transpose(1, 0, 2))
 
 

@@ -179,12 +179,12 @@ class SystemSpec:
 
     ``white_noise`` holds optional per-axis white-noise variances
     ``(v_x, v_y, v_z)``; these enter the continuous-time generator only.
+    At most ``DEFAULT_FLUCTUATOR_CAP`` fluctuators are accepted.
     """
 
     b0: float
     fluctuators: tuple[FluctuatorSpec, ...]
     white_noise: np.ndarray | None = None
-    fluctuator_cap: int = DEFAULT_FLUCTUATOR_CAP
 
     def __post_init__(self):
         if not np.isfinite(self.b0) or self.b0 < 0:
@@ -193,9 +193,9 @@ class SystemSpec:
         object.__setattr__(self, "fluctuators", flucts)
         if len(flucts) < 1:
             raise ValueError("at least one fluctuator is required")
-        if len(flucts) > self.fluctuator_cap:
+        if len(flucts) > DEFAULT_FLUCTUATOR_CAP:
             raise ValueError(
-                f"{len(flucts)} fluctuators exceed the cap of {self.fluctuator_cap} "
+                f"{len(flucts)} fluctuators exceed the cap of {DEFAULT_FLUCTUATOR_CAP} "
                 f"(superoperator dimension 3 * 2**N)"
             )
         if self.white_noise is not None:

@@ -151,36 +151,49 @@ def _rotate_vectors(n: np.ndarray, states: np.ndarray, dts: np.ndarray,
     return n * cos + np.cross(u, n) * sin + u * np.sum(u * n, axis=1)[:, None] * (1.0 - cos)
 
 
+def _telegraph_levels(f: FluctuatorSpec, p_plus: float, size: int, t_grid,
+                      rng: np.random.Generator, on_switch=None):
+    """Yield the levels of `size` telegraph samples at each time of `t_grid`.
+
+    The initial level is +1 with probability ``p_plus`` and the dwell in
+    level s is exponential at rate ``gamma + s * eta`` (a frozen level
+    dwells forever), so switch times are exact.  ``on_switch(states,
+    active, times)`` runs before the masked samples flip at ``times``.
+    The yielded array is updated in place.
+    """
+    states = np.where(rng.random(size) < p_plus, 1, -1).astype(np.int8)
+    with np.errstate(divide="ignore"):
+        next_switch = rng.exponential(1.0, size) / (f.gamma + f.eta * states)
+    for t in t_grid:
+        while (active := next_switch < t).any():
+            if on_switch is not None:
+                on_switch(states, active, next_switch[active])
+            states[active] = -states[active]
+            with np.errstate(divide="ignore"):
+                next_switch[active] += rng.exponential(1.0, int(active.sum())) / (
+                    f.gamma + f.eta * states[active]
+                )
+        yield states
+
+
 def _sample_chunk(f: FluctuatorSpec, b0: float, p_plus: float, n0: np.ndarray,
                   t_grid: np.ndarray, size: int, rng: np.random.Generator):
     """Simulate `size` telegraph trajectories; returns per-time sums."""
     axis_plus = np.array([0.0, 0.0, b0]) + f.g
     axis_minus = np.array([0.0, 0.0, b0]) - f.g
-
-    states = np.where(rng.random(size) < p_plus, 1, -1).astype(np.int8)
     n = np.tile(n0, (size, 1))
     cursor = np.zeros(size)
-    # Rate out of state s is gamma + s * eta; a frozen state dwells forever.
-    with np.errstate(divide="ignore"):
-        next_switch = rng.exponential(1.0, size) / (f.gamma + f.eta * states)
+
+    def switch(states, active, times):
+        n[active] = _rotate_vectors(
+            n[active], states[active], times - cursor[active], axis_plus, axis_minus
+        )
+        cursor[active] = times
 
     sums = np.zeros((len(t_grid), 3))
     sumsq = np.zeros((len(t_grid), 3))
-    for k, tk in enumerate(t_grid):
-        while True:
-            active = next_switch < tk
-            if not active.any():
-                break
-            n[active] = _rotate_vectors(
-                n[active], states[active], next_switch[active] - cursor[active],
-                axis_plus, axis_minus,
-            )
-            cursor[active] = next_switch[active]
-            states[active] = -states[active]
-            with np.errstate(divide="ignore"):
-                next_switch[active] = cursor[active] + rng.exponential(
-                    1.0, int(active.sum())
-                ) / (f.gamma + f.eta * states[active])
+    levels = _telegraph_levels(f, p_plus, size, t_grid, rng, switch)
+    for k, (tk, states) in enumerate(zip(t_grid, levels)):
         remaining = tk - cursor
         moving = remaining > 0
         n[moving] = _rotate_vectors(
@@ -228,12 +241,8 @@ def sample_trajectories(
         size, child = args
         return _sample_chunk(f, sys.b0, dist.p_plus, n0, t_grid, size, np.random.default_rng(child))
 
-    jobs = list(zip(sizes, seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, jobs))
-    else:
-        results = [run_chunk(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run_chunk, zip(sizes, seeds)))
 
     # Ordered reduction keeps the floating-point result deterministic.
     sums = np.zeros((len(t_grid), 3))
@@ -276,43 +285,24 @@ def _sample_states_on_grid(f: FluctuatorSpec, n_grid: int, dt: float,
                            n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Stationary telegraph states on a uniform grid, exact dwell times."""
     p_plus = stationary_distribution(f).p_plus
-    states = np.where(rng.random(n_samples) < p_plus, 1, -1).astype(np.int8)
-    next_switch = rng.exponential(1.0, n_samples) / (f.gamma + f.eta * states)
-    out = np.empty((n_samples, n_grid), dtype=np.int8)
-    for k in range(n_grid):
-        tk = k * dt
-        while True:
-            active = next_switch < tk
-            if not active.any():
-                break
-            states[active] = -states[active]
-            next_switch[active] = next_switch[active] + rng.exponential(
-                1.0, int(active.sum())
-            ) / (f.gamma + f.eta * states[active])
-        out[:, k] = states
-    return out
+    levels = _telegraph_levels(f, p_plus, n_samples, np.arange(n_grid) * dt, rng)
+    return np.stack([states.copy() for states in levels], axis=1)
 
 
-def empirical_spectrum(
-    f: FluctuatorSpec,
-    t_max: float | None = None,
-    n_samples: int = 400,
-    seed: int = 0,
-) -> SpectrumEstimate:
+def empirical_spectrum(f: FluctuatorSpec, n_samples: int = 400, seed: int = 0) -> SpectrumEstimate:
     """Estimate the power spectrum of the sampled noise field.
 
-    Averages the periodogram of ``|g| * s(t)`` over realizations and
-    fits a Lorentzian ``S0 * hw**2 / (omega**2 + hw**2)``.  For
-    symmetric telegraph noise the autocorrelation is
-    ``g**2 exp(-2 gamma |t|)``, so the fit should recover
-    ``S0 = g**2 / gamma`` and ``hw = 2 gamma``.
+    Averages the periodogram of ``|g| * s(t)`` over ``n_samples``
+    realizations of length ``30 / gamma`` and fits a Lorentzian
+    ``S0 * hw**2 / (omega**2 + hw**2)``.  For symmetric telegraph noise
+    the autocorrelation is ``g**2 exp(-2 gamma |t|)``, so the fit should
+    recover ``S0 = g**2 / gamma`` and ``hw = 2 gamma``.
     """
     if f.eta != 0.0:
         raise ValueError("spectrum estimation is implemented for eta = 0 only")
     if f.gamma <= 0.0:
         raise ValueError("gamma must be > 0")
-    if t_max is None:
-        t_max = 30.0 / f.gamma
+    t_max = 30.0 / f.gamma
     dt = 0.02 / f.gamma
     n_grid = max(int(round(t_max / dt)), 64)
     rng = np.random.default_rng(seed)

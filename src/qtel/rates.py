@@ -99,11 +99,7 @@ class PerturbativeRates:
 
 
 def channel_rates_from_modes(
-    mode_rates: np.ndarray,
-    weights: np.ndarray,
-    method: str,
-    weight_rel_threshold: float = WEIGHT_REL_THRESHOLD,
-    zero_threshold: float = ZERO_MODE_THRESHOLD,
+    mode_rates: np.ndarray, weights: np.ndarray, method: str
 ) -> ChannelRates:
     """Select per-channel rates from per-mode rates and channel weights.
 
@@ -113,8 +109,8 @@ def channel_rates_from_modes(
     weights : real array (3, d), weight of mode k in channel c.
 
     The channel rate is the smallest candidate rate among modes whose
-    weight exceeds ``weight_rel_threshold`` times the channel maximum
-    and whose rate exceeds ``zero_threshold``; a channel whose weighted
+    weight exceeds ``WEIGHT_REL_THRESHOLD`` times the channel maximum
+    and whose rate exceeds ``ZERO_MODE_THRESHOLD``; a channel whose weighted
     modes are all conserved decays not at all (rate 0).  The reported
     transverse rate uses the azimuthally averaged weights
     ``(w_x + w_y) / 2`` (the coupling vector singles out one transverse
@@ -126,7 +122,7 @@ def channel_rates_from_modes(
 
     def select(w: np.ndarray, name: str, flags: list[str]) -> float:
         wmax = w.max() if w.size else 0.0
-        eligible = (w > weight_rel_threshold * wmax) & (mode_rates > zero_threshold)
+        eligible = (w > WEIGHT_REL_THRESHOLD * wmax) & (mode_rates > ZERO_MODE_THRESHOLD)
         if not np.any(eligible):
             return 0.0
         # Group eligible modes by rate; conjugate pairs share one group.
@@ -186,7 +182,23 @@ def extract_rates(
     default to the ones implied by the operator's system.  ``method`` is
     ``"spectral-weight"``, ``"envelope-fit"`` or ``"auto"`` (spectral
     weights unless the decomposition is defective, then envelope fit).
+    The envelope fit propagates the system's own boundary maps, so it
+    rejects an explicit ``readout`` or ``prepare``.
     """
+    if method not in ("auto", "spectral-weight", "envelope-fit"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "spectral-weight" and sd.defective:
+        raise ValueError("decomposition is defective; use envelope-fit or auto")
+    if method == "auto":
+        method = "envelope-fit" if sd.defective else "spectral-weight"
+    if method == "envelope-fit":
+        if readout is not None or prepare is not None:
+            raise ValueError(
+                "envelope-fit uses the system's own boundary maps; "
+                "explicit readout/prepare need spectral weights"
+            )
+        return _envelope_fit_rates(sd)
+
     if readout is None or prepare is None:
         readout, prepare = boundary_projectors(sd.operator.system)
     else:
@@ -196,17 +208,8 @@ def extract_rates(
             readout = np.kron(readout, np.eye(3))
         if prepare.ndim == 1:
             prepare = np.kron(prepare.reshape(-1, 1), np.eye(3))
-    if method not in ("auto", "spectral-weight", "envelope-fit"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "spectral-weight" and sd.defective:
-        raise ValueError("decomposition is defective; use envelope-fit or auto")
-    if method == "auto":
-        method = "envelope-fit" if sd.defective else "spectral-weight"
-
-    if method == "spectral-weight":
-        weights = _spectral_weights(sd, readout, prepare)
-        return channel_rates_from_modes(sd.eigenvalues.real, weights, method)
-    return _envelope_fit_rates(sd)
+    weights = _spectral_weights(sd, readout, prepare)
+    return channel_rates_from_modes(sd.eigenvalues.real, weights, method)
 
 
 def _fit_envelope_rate(times: np.ndarray, signal: np.ndarray) -> float:
@@ -274,10 +277,9 @@ def _envelope_fit_rates(sd: SpectralDecomposition) -> ChannelRates:
     )
 
 
-def free_decay_rates(sys: SystemSpec, method: str = "auto") -> ChannelRates:
-    """Convenience wrapper: generator, spectral decomposition, rates."""
-    sd = spectral_decomposition(decoherence_generator(sys))
-    return extract_rates(sd, method=method)
+def free_decay_rates(sys: SystemSpec) -> ChannelRates:
+    """Convenience wrapper: generator, spectral decomposition, ``extract_rates``."""
+    return extract_rates(spectral_decomposition(decoherence_generator(sys)))
 
 
 def longitudinal_rates(b0: float, g: float, gamma: float, eta: float = 0.0) -> ChannelRates:

@@ -73,14 +73,13 @@ class ContractionError(RuntimeError):
 class Superoperator:
     """Complex square operator on the joint fluctuator-Bloch space.
 
-    ``kind`` is either ``"discrete-step"`` (one-interval transfer,
-    carries ``dt``) or ``"generator"`` (continuous-time).
+    ``kind`` is either ``"discrete-step"`` (one-interval transfer) or
+    ``"generator"`` (continuous-time).
     """
 
     mat: np.ndarray
     kind: str
     system: SystemSpec
-    dt: float | None = None
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
@@ -175,7 +174,7 @@ def discrete_transfer_operator(sys: SystemSpec, dt: float) -> Superoperator:
     rot_minus = step_rotation(sys.b0, f.g, -1, dt)
     blocks = np.kron(np.diag([1.0, 0.0]), rot_plus) + np.kron(np.diag([0.0, 1.0]), rot_minus)
     mat = np.kron(switch, np.eye(3)) @ blocks.astype(complex)
-    return Superoperator(mat=mat, kind=KIND_STEP, system=sys, dt=dt)
+    return Superoperator(mat=mat, kind=KIND_STEP, system=sys)
 
 
 def decoherence_generator(sys: SystemSpec) -> Superoperator:

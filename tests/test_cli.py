@@ -47,6 +47,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="experiment"):
             ExperimentConfig.from_dict({"experiment": "teleport"})
 
+    def test_enum_verify_dt_checked_against_its_grid(self):
+        # The grid reaches gamma = 1.0, so dt = 1.0 would fail at run time.
+        with pytest.raises(ConfigError, match="dt"):
+            ExperimentConfig.from_dict({"experiment": "enum-verify", "dt": 1.0})
+
+    def test_sweep_eta_values_checked_against_gamma(self):
+        with pytest.raises(ConfigError, match="eta_values"):
+            ExperimentConfig.from_dict(presets()["fig3a"] | {"eta_values": [0.0, 0.7]})
+
     def test_round_trip_dict(self):
         raw = presets()["fig2"]
         cfg = ExperimentConfig.from_dict(raw)

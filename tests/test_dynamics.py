@@ -315,3 +315,22 @@ class TestBlochTrajectory:
             BlochTrajectory(
                 times=np.array([0.0, 1.0]), points=np.zeros((2, 3)), frame="interaction"
             )
+
+
+def test_defective_echo_runs_one_expm_per_duration(monkeypatch):
+    # Both echo halves last t/2, so each grid point needs a single expm.
+    sys = make_system(g=0.3, theta=np.pi / 4, gamma=0.1, eta=0.04)
+    sd = spectral_decomposition(decoherence_generator(sys))
+    object.__setattr__(sd, "defective", True)
+    expm, calls = scipy.linalg.expm, []
+
+    def counting_expm(mat):
+        calls.append(mat.shape)
+        return expm(mat)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    times = np.linspace(0.0, 20.0, 51)
+    signal = echo_signal(sys, times, sd=sd)
+    assert len(calls) == len(times)
+    monkeypatch.undo()
+    assert_allclose(signal, echo_signal(sys, times), rtol=0, atol=1e-10)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qtel import (
     angle_sweep,
+    boundary_projectors,
     decoherence_generator,
     extract_rates,
     free_decay_rates,
@@ -116,6 +117,16 @@ class TestExtractRates:
         implicit = extract_rates(sd)
         assert explicit.rate_z == implicit.rate_z
         assert explicit.rate_xy == implicit.rate_xy
+
+    def test_envelope_path_rejects_explicit_boundary_maps(self):
+        sys = make_system(theta=np.pi / 2, g=0.3, gamma=0.1)
+        sd = spectral_decomposition(decoherence_generator(sys))
+        readout, prepare = boundary_projectors(sys)
+        with pytest.raises(ValueError, match="readout/prepare"):
+            extract_rates(sd, readout, prepare, method="envelope-fit")
+        object.__setattr__(sd, "defective", True)
+        with pytest.raises(ValueError, match="readout/prepare"):
+            extract_rates(sd, readout, prepare)
 
 
 class TestModeSelection:
