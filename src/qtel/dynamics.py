@@ -8,11 +8,9 @@ inserted between free-evolution segments, composing three protocols:
 * the spin echo (pi/2 - free t/2 - pi - free t/2 - pi/2, all about x),
 * arbitrary user-defined pulse schedules.
 
-Every composed operator is the boundary contraction of a product of
-``exp(-t_k * generator)`` segments and ``I (x) rotation`` pulse factors
-on the joint fluctuator-Bloch space.  The protocols share one engine that
-applies these factors to the ``d x 3`` preparation block over a time grid,
-except that bang-bang powers its ``d x d`` period operator for its rates.
+Every composed operator is a schedule of free segments and pulses for the
+contraction engine in :mod:`qtel.superop`, except that bang-bang powers its
+``d x d`` period operator for its rates.
 """
 
 from __future__ import annotations
@@ -30,7 +28,9 @@ from .superop import (
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
+    _compose,
     _exp_generator,
+    _mode_weights,
     _real_transfer,
 )
 
@@ -131,42 +131,6 @@ class BangBangResult:
     axis: str
 
 
-def _compose(sys: SystemSpec, sd: SpectralDecomposition | None, steps) -> np.ndarray:
-    """Real ``T x 3 x 3`` transfer matrices of a schedule (T = 1 without a grid).
-
-    ``steps`` lists in order of action ``("free", t)``, t a duration or a grid
-    of T durations, and ``("pulse", R)``, R a 3x3 rotation of the Bloch index.
-    """
-    if sd is None:
-        sd = spectral_decomposition(decoherence_generator(sys))
-    readout, prepare = boundary_projectors(sys)
-    d = sd.dimension
-    spectral = not sd.defective and sd.left_vectors is not None
-    # The spectral form runs the whole grid in one pass.  The expm fallback runs
-    # one grid point per pass and holds only that point's propagators, so equal
-    # durations there, such as the two halves of an echo, share one expm.
-    n_times = max([np.size(t) for kind, t in steps if kind == "free"], default=1)
-    passes = []
-    for i in range(1 if spectral else n_times):
-        # Held as d x T x 3 so that each factor is one product with d x (T * 3).
-        block, propagators = prepare.astype(complex)[:, None, :], {}
-        for kind, value in steps:
-            if kind == "pulse":
-                block = (value @ block.reshape(d // 3, 3, -1)).reshape(block.shape)
-            elif spectral:
-                decay = np.exp(-np.multiply.outer(sd.eigenvalues, np.ravel(value)))[:, :, None]
-                coeffs = decay * (sd.left_vectors @ block.reshape(d, -1)).reshape(block.shape)
-                block = (sd.right_vectors @ coeffs.reshape(d, -1)).reshape(coeffs.shape)
-            else:
-                t = float(np.broadcast_to(np.ravel(value), n_times)[i])
-                if t not in propagators:
-                    propagators[t] = _exp_generator(sd, t)
-                block = (propagators[t] @ block.reshape(d, -1)).reshape(block.shape)
-        passes.append(block)
-    block = np.concatenate(passes, axis=1)
-    return _real_transfer((readout @ block.reshape(d, -1)).reshape(3, -1, 3).transpose(1, 0, 2))
-
-
 def free_trajectory(sys: SystemSpec, n0, t_grid) -> BlochTrajectory:
     """Ensemble-averaged free decay of an initial Bloch vector.
 
@@ -225,9 +189,8 @@ def bang_bang_operator(
             f"pulsed one-period operator is near-defective at tau={tau} "
             f"(eigenvector condition {cond:.2e})"
         )
-    left = np.linalg.inv(right)
     readout, prepare = boundary_projectors(sys)
-    weights = np.abs((readout @ right) * (left @ prepare).T)
+    weights = _mode_weights(right, np.linalg.inv(right), readout, prepare)
     with np.errstate(divide="ignore"):
         candidate_rates = -np.log(np.abs(eigenvalues)) / tau
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
@@ -259,8 +222,10 @@ def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None
         raise ValueError("echo times must be >= 0")
     half = rotation_matrix(_AXES["x"], np.pi / 2.0)
     flip = rotation_matrix(_AXES["x"], np.pi)
+    if sd is None:
+        sd = spectral_decomposition(decoherence_generator(sys))
     steps = [("pulse", half), ("free", seg), ("pulse", flip), ("free", seg), ("pulse", half)]
-    return _compose(sys, sd, steps)[:, 2, 2].copy()
+    return _compose(sd, steps)[:, 2, 2].copy()
 
 
 def sequence_operator(
@@ -287,4 +252,6 @@ def sequence_operator(
         steps.append(("pulse", rotation_matrix(axis, angle)))
     if t_final > cursor:
         steps.append(("free", t_final - cursor))
-    return _compose(sys, sd, steps)[0]
+    if sd is None:
+        sd = spectral_decomposition(decoherence_generator(sys))
+    return _compose(sd, steps)[0]

@@ -268,6 +268,20 @@ def stationary_distribution(f: FluctuatorSpec) -> FluctuatorDistribution:
     return FluctuatorDistribution.from_upper(p_plus)
 
 
+def _switching_probabilities(gamma: float, eta: float, dt: float) -> tuple[float, float]:
+    """Checked ``p = gamma*dt``, ``d = eta*dt``: one interval leaves + with
+    probability ``p + d`` and - with ``p - d``."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    p = gamma * dt
+    d = eta * dt
+    if p >= 1.0:
+        raise ValueError("dt too large for telegraph limit")
+    if p + abs(d) > 1.0:
+        raise ValueError("switching probabilities exceed 1; reduce dt")
+    return p, d
+
+
 def boundary_vectors(
     distributions: Sequence[FluctuatorDistribution],
 ) -> tuple[np.ndarray, np.ndarray]:

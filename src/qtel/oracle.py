@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .model import (FluctuatorSpec, SystemSpec, as_bloch_array, stationary_distribution,
-                    step_rotation)
+from .model import (FluctuatorSpec, SystemSpec, _switching_probabilities, as_bloch_array,
+                    stationary_distribution, step_rotation)
 
 __all__ = [
     "SequenceEnsembleResult",
@@ -81,12 +81,7 @@ def _single_fluctuator(sys: SystemSpec) -> FluctuatorSpec:
 
 def _switch_matrix(gamma: float, eta: float, dt: float) -> np.ndarray:
     """Conditional switching probabilities W[new, old], states ordered (+, -)."""
-    p = gamma * dt
-    d = eta * dt
-    if p >= 1.0:
-        raise ValueError("dt too large for telegraph limit")
-    if p + abs(d) > 1.0:
-        raise ValueError("switching probabilities exceed 1; reduce dt")
+    p, d = _switching_probabilities(gamma, eta, dt)
     return np.array([[1.0 - p - d, p - d], [p + d, 1.0 - p + d]])
 
 
@@ -104,8 +99,6 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     f = _single_fluctuator(sys)
     if not 1 <= n_steps <= MAX_ENUM_STEPS:
         raise ValueError(f"n_steps must be in [1, {MAX_ENUM_STEPS}]")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     w = _switch_matrix(f.gamma, f.eta, dt)
     dist = sys.distributions()[0]
     p_start = np.array([dist.p_plus, dist.p_minus])

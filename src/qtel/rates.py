@@ -24,10 +24,11 @@ from .analysis import _local_maxima
 from .model import FluctuatorSpec, SystemSpec
 from .superop import (
     SpectralDecomposition,
-    boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
+    _boundary_maps,
+    _mode_weights,
 )
 
 __all__ = [
@@ -159,15 +160,6 @@ def channel_rates_from_modes(
     )
 
 
-def _spectral_weights(
-    sd: SpectralDecomposition, readout: np.ndarray, prepare: np.ndarray
-) -> np.ndarray:
-    """Per-channel mode weights |e_c . (readout v_k)(l_k prepare) . e_c|."""
-    a = readout @ sd.right_vectors  # 3 x d, column k = readout-contracted mode
-    b = sd.left_vectors @ prepare  # d x 3, row k
-    return np.abs(a * b.T)  # (3, d)
-
-
 def extract_rates(
     sd: SpectralDecomposition,
     readout: np.ndarray | None = None,
@@ -178,8 +170,8 @@ def extract_rates(
 
     ``readout``/``prepare`` are the boundary vectors over the fluctuator
     space (length ``2**N``, as returned by ``boundary_vectors``) or the
-    already lifted contraction maps (``3 x d`` and ``d x 3``); they
-    default to the ones implied by the operator's system.  ``method`` is
+    already lifted contraction maps (``3 x d`` and ``d x 3``); each
+    defaults to the one implied by the operator's system.  ``method`` is
     ``"spectral-weight"``, ``"envelope-fit"`` or ``"auto"`` (spectral
     weights unless the decomposition is defective, then envelope fit).
     The envelope fit propagates the system's own boundary maps, so it
@@ -199,16 +191,8 @@ def extract_rates(
             )
         return _envelope_fit_rates(sd)
 
-    if readout is None or prepare is None:
-        readout, prepare = boundary_projectors(sd.operator.system)
-    else:
-        readout = np.asarray(readout)
-        prepare = np.asarray(prepare)
-        if readout.ndim == 1:
-            readout = np.kron(readout, np.eye(3))
-        if prepare.ndim == 1:
-            prepare = np.kron(prepare.reshape(-1, 1), np.eye(3))
-    weights = _spectral_weights(sd, readout, prepare)
+    readout, prepare = _boundary_maps(sd.operator.system, readout, prepare)
+    weights = _mode_weights(sd.right_vectors, sd.left_vectors, readout, prepare)
     return channel_rates_from_modes(sd.eigenvalues.real, weights, method)
 
 

@@ -10,8 +10,10 @@ space (N fluctuators).  Two operators matter:
 * the continuous-time generator, its ``dt -> 0`` limit, whose
   eigenvalues are the complex decay rates of the system.
 
-The physical 3x3 transfer matrix at time t is the boundary contraction
-``readout . exp(-t * generator) . prepare`` over fluctuator indices.
+Every observable is one boundary contraction over fluctuator indices,
+``readout . (exp(-t_k * generator) segments and I (x) R pulses) . prepare``;
+one engine here applies these factors to the ``d x 3`` preparation block over
+a time grid, and the free transfer matrix T(t) is its one-segment case.
 
 Basis ordering is fluctuator-major: index = 3 * (fluctuator state
 index) + Bloch index (x=0, y=1, z=2), with level ``s=+1`` enumerated
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import SystemSpec, boundary_vectors, so3_generators, step_rotation
+from .model import (SystemSpec, _switching_probabilities, boundary_vectors, so3_generators,
+                    step_rotation)
 
 __all__ = [
     "Superoperator",
@@ -159,15 +162,8 @@ def discrete_transfer_operator(sys: SystemSpec, dt: float) -> Superoperator:
             "white noise is defined only for the continuous-time generator; "
             "use decoherence_generator"
         )
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     f = sys.fluctuators[0]
-    p = f.gamma * dt
-    d = f.eta * dt
-    if p >= 1.0:
-        raise ValueError("dt too large for telegraph limit")
-    if p + abs(d) > 1.0:
-        raise ValueError("switching probabilities exceed 1; reduce dt")
+    p, d = _switching_probabilities(f.gamma, f.eta, dt)
 
     switch = (1.0 - p) * np.eye(2, dtype=complex) - d * _TAU3 + p * _TAU1 - 1j * d * _TAU2
     rot_plus = step_rotation(sys.b0, f.g, +1, dt)
@@ -255,9 +251,24 @@ def boundary_projectors(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     contraction ``readout @ M @ prepare`` of any superoperator M is the
     3x3 matrix acting on the physical Bloch vector.
     """
-    readout, prepare = boundary_vectors(sys.distributions())
-    eye3 = np.eye(3)
-    return np.kron(readout, eye3), np.kron(prepare.reshape(-1, 1), eye3)
+    return _boundary_maps(sys, None, None)
+
+
+def _boundary_maps(sys: SystemSpec, readout, prepare) -> tuple[np.ndarray, np.ndarray]:
+    """``boundary_projectors`` where a given map replaces the system's own (vectors lifted)."""
+    own_readout, own_prepare = boundary_vectors(sys.distributions())
+    readout = np.asarray(own_readout if readout is None else readout)
+    prepare = np.asarray(own_prepare if prepare is None else prepare)
+    if readout.ndim == 1:
+        readout = np.kron(readout, np.eye(3))
+    if prepare.ndim == 1:
+        prepare = np.kron(prepare.reshape(-1, 1), np.eye(3))
+    return readout, prepare
+
+
+def _mode_weights(right, left, readout, prepare) -> np.ndarray:
+    """Weight ``|(readout v_k)_c (l_k prepare)_c|`` of mode k in channel c, shape (3, d)."""
+    return np.abs((readout @ right) * (left @ prepare).T)
 
 
 def _exp_generator(sd: SpectralDecomposition, t: float) -> np.ndarray:
@@ -314,27 +325,58 @@ def evolve_operator(
 def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
     """Transfer matrices T(t) for a grid of times, one decomposition.
 
-    Returns an array of shape ``(len(times), 3, 3)``.  Falls back to
-    scaling-and-squaring per time point when the decomposition is
-    defective.
+    Returns an array of shape ``(len(times), 3, 3)``, exactly the identity at
+    t = 0.  It is the one-free-step schedule of the contraction engine, which
+    falls back to scaling-and-squaring per point for a defective decomposition.
     """
-    op = sd.operator
-    if op.kind != KIND_GENERATOR:
+    if sd.operator.kind != KIND_GENERATOR:
         raise ValueError("transfer_from_spectral requires a generator-kind superoperator")
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
-    readout, prepare = boundary_projectors(op.system)
-    out = np.empty((len(times), 3, 3))
-    if not sd.defective and sd.left_vectors is not None:
-        # T(t) = (readout V) diag(exp(-lam t)) (V^-1 prepare)
-        a = readout @ sd.right_vectors
-        b = sd.left_vectors @ prepare
-        decay = np.exp(-np.outer(times, sd.eigenvalues))
-        out[:] = _real_transfer(np.einsum("ck,tk,kd->tcd", a, decay, b))
-    else:
-        for i, t in enumerate(times):
-            out[i] = _real_transfer(readout @ _exp_generator(sd, float(t)) @ prepare)
-    # t = 0 is the exact identity by definition.
+    out = _compose(sd, [("free", times)]).copy()
     out[times == 0.0] = np.eye(3)
     return out
+
+
+def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
+    """Real ``T x 3 x 3`` transfer matrices of a schedule (T = 1 without a grid).
+
+    ``steps`` lists in order of action ``("free", t)``, t a duration or a grid
+    of T durations, and ``("pulse", R)``, R a 3x3 rotation of the Bloch index.
+    """
+    readout, prepare = boundary_projectors(sd.operator.system)
+    d = sd.dimension
+    spectral = not sd.defective and sd.left_vectors is not None
+    # The spectral form runs the whole grid in one pass.  The expm fallback runs one grid
+    # point per pass (none for an empty grid) and holds only that point's propagators,
+    # so equal durations there, such as the two halves of an echo, share one expm.
+    n_times = max([np.size(t) for kind, t in steps if kind == "free"], default=1)
+    passes = [np.empty((d, 0), dtype=complex)]
+    for i in range(1 if spectral else n_times):
+        # The block is d x (T * 3), so each factor is one matrix product.  A spectral
+        # free step leaves it in eigen-coordinates with its d x T decay kept apart
+        # until the next pulse or the readout: a free grid never builds d x T x 3.
+        block, decay, propagators = prepare, None, {}
+        for kind, value in steps:
+            if kind == "free" and spectral:
+                if decay is None:
+                    block, decay = sd.left_vectors @ block, 1.0
+                decay = decay * np.exp(-np.multiply.outer(sd.eigenvalues, np.ravel(value)))
+                continue
+            if decay is not None:
+                coeffs = decay[:, :, None] * block.reshape(d, -1, 3)
+                block, decay = sd.right_vectors @ coeffs.reshape(d, -1), None
+            if kind == "pulse":
+                block = (value @ block.reshape(d // 3, 3, -1)).reshape(d, -1)
+            else:
+                t = float(np.ravel(value)[i % np.size(value)])
+                if t not in propagators:
+                    propagators[t] = _exp_generator(sd, t)
+                block = propagators[t] @ block
+        if decay is not None:
+            modes, coeffs = readout @ sd.right_vectors, block.reshape(d, -1, 3)
+            return _real_transfer(np.einsum("ck,kt,ktj->tcj", modes, decay, coeffs))
+        passes.append(block)
+    transfer = readout @ np.concatenate(passes, axis=1)
+    return _real_transfer(transfer.reshape(3, -1, 3).transpose(1, 0, 2))

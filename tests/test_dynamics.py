@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,7 @@ from qtel import (
     sequence_operator,
     spectral_decomposition,
     to_rotating_frame,
+    transfer_from_spectral,
 )
 from qtel.superop import boundary_projectors
 
@@ -264,6 +267,12 @@ class TestScheduleEngineAgainstExpm:
             object.__setattr__(sd, "defective", True)
         return sd
 
+    def test_transfer_from_spectral(self, sys, defective):
+        times = np.array([0.0, 0.7, 3.1, 3.1, 15.0])
+        transfer = transfer_from_spectral(self.decomposition(sys, defective), times)
+        expected = [expm_schedule(sys, [t]) for t in times]
+        assert_allclose(transfer, expected, rtol=0, atol=1e-10)
+
     def test_echo_signal(self, sys, defective):
         times = np.array([0.0, 0.7, 3.1, 8.4, 15.0])
         signal = echo_signal(sys, times, sd=self.decomposition(sys, defective))
@@ -334,3 +343,23 @@ def test_defective_echo_runs_one_expm_per_duration(monkeypatch):
     assert len(calls) == len(times)
     monkeypatch.undo()
     assert_allclose(signal, echo_signal(sys, times), rtol=0, atol=1e-10)
+
+
+def test_free_grid_holds_no_block_per_time_point():
+    # N = 6 (d = 192) on 501 points: one d x 501 x 3 complex block is 4.6 MB.
+    sys = SystemSpec(
+        b0=1.0,
+        fluctuators=tuple(
+            FluctuatorSpec(g=[0.05 * k, 0.1, 0.2], gamma=0.1 * (k + 1), eta=0.01 * k)
+            for k in range(6)
+        ),
+    )
+    sd = spectral_decomposition(decoherence_generator(sys))
+    times = np.linspace(0.0, 50.0, 501)
+    tracemalloc.start()
+    try:
+        transfer_from_spectral(sd, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sd.dimension * len(times) * 3 * 16

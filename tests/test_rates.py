@@ -118,6 +118,22 @@ class TestExtractRates:
         assert explicit.rate_z == implicit.rate_z
         assert explicit.rate_xy == implicit.rate_xy
 
+    @pytest.mark.parametrize("lifted", [False, True], ids=["vector", "map"])
+    def test_each_boundary_map_defaults_separately(self, lifted):
+        # A zero map on either side sees no mode, whether or not the other is given.
+        sys = make_system(theta=np.pi / 4, g=0.3, gamma=0.1, eta=0.04)
+        sd = spectral_decomposition(decoherence_generator(sys))
+        readout, prepare = boundary_projectors(sys)
+        zero_readout = np.zeros_like(readout) if lifted else np.zeros(2)
+        zero_prepare = np.zeros_like(prepare) if lifted else np.zeros(2)
+        for rates in (
+            extract_rates(sd, readout=zero_readout),
+            extract_rates(sd, zero_readout, prepare),
+            extract_rates(sd, prepare=zero_prepare),
+            extract_rates(sd, readout, zero_prepare),
+        ):
+            assert (rates.rate_z, rates.rate_xy) == (0.0, 0.0)
+
     def test_envelope_path_rejects_explicit_boundary_maps(self):
         sys = make_system(theta=np.pi / 2, g=0.3, gamma=0.1)
         sd = spectral_decomposition(decoherence_generator(sys))

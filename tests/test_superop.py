@@ -11,6 +11,7 @@ from qtel import (
     boundary_projectors,
     decoherence_generator,
     discrete_transfer_operator,
+    enumerate_sequences,
     evolve_operator,
     fluctuator_dissipator,
     spectral_decomposition,
@@ -67,6 +68,23 @@ class TestDiscreteOperator:
         sys = make_system(gamma=0.5)
         with pytest.raises(ValueError, match="dt too large for telegraph limit"):
             discrete_transfer_operator(sys, dt=2.5)
+
+    @pytest.mark.parametrize("entry", ["operator", "enumeration"])
+    @pytest.mark.parametrize(
+        "gamma, eta, dt, message",
+        [
+            (0.5, 0.0, 2.5, "dt too large for telegraph limit"),
+            (1.0, 0.5, 0.8, "switching probabilities exceed 1"),
+            (0.1, 0.0, 0.0, "dt must be > 0"),
+        ],
+    )
+    def test_switching_probability_checks(self, entry, gamma, eta, dt, message):
+        sys = make_system(gamma=gamma, eta=eta)
+        with pytest.raises(ValueError, match=message):
+            if entry == "operator":
+                discrete_transfer_operator(sys, dt=dt)
+            else:
+                enumerate_sequences(sys, dt, n_steps=3)
 
     def test_white_noise_rejected(self):
         sys = make_system(white_noise=[0.0, 0.0, 0.1])
