@@ -91,37 +91,32 @@ def _local_maxima(signal: np.ndarray) -> np.ndarray:
     return np.nonzero((signal[1:-1] >= signal[:-2]) & (signal[1:-1] >= signal[2:]))[0] + 1
 
 
-def _runs(mask: np.ndarray):
-    """Yield (start, stop) index pairs of maximal True runs."""
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            yield i, j
-            i = j + 1
-        else:
-            i += 1
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) index pairs of maximal True runs, stop inclusive."""
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
-def detect_plateaus(
-    times, signal, log_scale: bool = False, include_leading: bool = False
-) -> tuple[Plateau, ...]:
+def _within_roundoff(signal: np.ndarray) -> bool:
+    """True when the curve has no structure beyond roundoff."""
+    return signal.max() - signal.min() < 1e-12 * max(1.0, np.abs(signal).max())
+
+
+def detect_plateaus(times, signal, log_scale: bool = False) -> tuple[Plateau, ...]:
     """Maximal flat stretches of a sampled curve.
 
     A plateau is a run of at least ``MIN_PLATEAU_POINTS`` samples whose
     |slope| stays below ``FLAT_SLOPE_FRACTION`` times the curve's maximum
-    |slope|.  The run containing t = 0 is excluded unless
-    ``include_leading`` is set (every echo curve starts flat).  With
-    ``log_scale`` the slope is measured on log|signal|, which treats
-    fractional rather than absolute changes as significant.
+    |slope|.  The run containing t = 0 is never a plateau: every echo
+    curve starts flat.  With ``log_scale`` the slope is measured on
+    log|signal|, which treats fractional rather than absolute changes as
+    significant.
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    if signal.max() - signal.min() < 1e-12 * max(1.0, np.abs(signal).max()):
-        return ()  # no structure beyond roundoff
+    if _within_roundoff(signal):
+        return ()
     if log_scale:
         signal = np.log(np.clip(np.abs(signal), 1e-12, None))
     slope = np.gradient(signal, times)
@@ -129,14 +124,11 @@ def detect_plateaus(
     if peak == 0.0:
         return ()
     flat = np.abs(slope) < FLAT_SLOPE_FRACTION * peak
-    out = []
-    for i, j in _runs(flat):
-        if j - i + 1 < MIN_PLATEAU_POINTS:
-            continue
-        if i == 0 and not include_leading:
-            continue
-        out.append(Plateau(t_start=float(times[i]), t_end=float(times[j])))
-    return tuple(out)
+    return tuple(
+        Plateau(t_start=float(times[i]), t_end=float(times[j]))
+        for i, j in _runs(flat)
+        if i > 0 and j - i + 1 >= MIN_PLATEAU_POINTS
+    )
 
 
 def detect_steps(times, signal) -> StepStructure:
@@ -156,11 +148,10 @@ def detect_steps(times, signal) -> StepStructure:
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    flat_signal = signal.max() - signal.min() < 1e-12 * max(1.0, np.abs(signal).max())
     logs = np.log(np.clip(np.abs(signal), 1e-12, None))
     slope = np.gradient(logs, times)
     peak_drop = max(-slope.min(), 0.0)
-    if flat_signal or peak_drop == 0.0:
+    if _within_roundoff(signal) or peak_drop == 0.0:
         return StepStructure(has_steps=False, period=float("nan"), drop_times=(), plateaus=())
 
     drops = []

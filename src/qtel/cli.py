@@ -35,6 +35,7 @@ from .superop import (
     discrete_transfer_operator,
     spectral_decomposition,
     transfer_from_spectral,
+    _real_transfer,
 )
 
 __all__ = ["ExperimentConfig", "ResultTable", "ConfigError", "presets", "run", "main"]
@@ -381,7 +382,7 @@ def _run_enum_verify(cfg: ExperimentConfig) -> ResultTable:
         step = discrete_transfer_operator(sys, cfg.dt)
         readout, prepare = boundary_projectors(sys)
         powered = np.linalg.matrix_power(step.mat, cfg.n_steps)
-        reference = (readout @ powered @ prepare).real
+        reference = _real_transfer(readout @ powered @ prepare)
         worst = max(worst, float(np.abs(enum.t_matrix - reference).max()))
         worst_prob = max(worst_prob, abs(enum.total_probability - 1.0))
     return ResultTable(

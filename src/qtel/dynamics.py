@@ -92,7 +92,6 @@ class PulseSequence:
     """
 
     events: tuple[tuple[float, np.ndarray, float], ...]
-    description: str = ""
 
     def __post_init__(self):
         norm_events = []
@@ -194,7 +193,7 @@ def bang_bang_operator(
     with np.errstate(divide="ignore"):
         candidate_rates = -np.log(np.abs(eigenvalues)) / tau
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
-    rates = channel_rates_from_modes(candidate_rates, weights, method="spectral-weight")
+    rates = channel_rates_from_modes(candidate_rates, weights)
 
     transfer = _real_transfer(readout @ np.linalg.matrix_power(period, n_pulses) @ prepare)
     return BangBangResult(

@@ -24,10 +24,10 @@ from .analysis import _local_maxima
 from .model import FluctuatorSpec, SystemSpec
 from .superop import (
     SpectralDecomposition,
+    boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
-    _boundary_maps,
     _mode_weights,
 )
 
@@ -99,9 +99,7 @@ class PerturbativeRates:
             raise ValueError("rate_2_star must equal rate_1 / 2 + rate_phi exactly")
 
 
-def channel_rates_from_modes(
-    mode_rates: np.ndarray, weights: np.ndarray, method: str
-) -> ChannelRates:
+def channel_rates_from_modes(mode_rates: np.ndarray, weights: np.ndarray) -> ChannelRates:
     """Select per-channel rates from per-mode rates and channel weights.
 
     Parameters
@@ -155,45 +153,24 @@ def channel_rates_from_modes(
         rate_x=rate_x,
         rate_y=rate_y,
         mode_weights={name: weights[c].copy() for c, name in enumerate(_CHANNELS)},
-        method=method,
+        method="spectral-weight",
         flags=tuple(flags),
     )
 
 
-def extract_rates(
-    sd: SpectralDecomposition,
-    readout: np.ndarray | None = None,
-    prepare: np.ndarray | None = None,
-    method: str = "auto",
-) -> ChannelRates:
+def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
     """Channel decay rates from a spectral decomposition.
 
-    ``readout``/``prepare`` are the boundary vectors over the fluctuator
-    space (length ``2**N``, as returned by ``boundary_vectors``) or the
-    already lifted contraction maps (``3 x d`` and ``d x 3``); each
-    defaults to the one implied by the operator's system.  ``method`` is
-    ``"spectral-weight"``, ``"envelope-fit"`` or ``"auto"`` (spectral
-    weights unless the decomposition is defective, then envelope fit).
-    The envelope fit propagates the system's own boundary maps, so it
-    rejects an explicit ``readout`` or ``prepare``.
+    The rates come from the spectral weights of the modes between the
+    system's own boundary maps.  A defective decomposition has no reliable
+    left vectors, so its rates come from an envelope fit to the propagated
+    channels instead; that result has ``method == "envelope-fit"``.
     """
-    if method not in ("auto", "spectral-weight", "envelope-fit"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "spectral-weight" and sd.defective:
-        raise ValueError("decomposition is defective; use envelope-fit or auto")
-    if method == "auto":
-        method = "envelope-fit" if sd.defective else "spectral-weight"
-    if method == "envelope-fit":
-        if readout is not None or prepare is not None:
-            raise ValueError(
-                "envelope-fit uses the system's own boundary maps; "
-                "explicit readout/prepare need spectral weights"
-            )
+    if sd.defective:
         return _envelope_fit_rates(sd)
-
-    readout, prepare = _boundary_maps(sd.operator.system, readout, prepare)
+    readout, prepare = boundary_projectors(sd.operator.system)
     weights = _mode_weights(sd.right_vectors, sd.left_vectors, readout, prepare)
-    return channel_rates_from_modes(sd.eigenvalues.real, weights, method)
+    return channel_rates_from_modes(sd.eigenvalues.real, weights)
 
 
 def _fit_envelope_rate(times: np.ndarray, signal: np.ndarray) -> float:

@@ -251,19 +251,8 @@ def boundary_projectors(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     contraction ``readout @ M @ prepare`` of any superoperator M is the
     3x3 matrix acting on the physical Bloch vector.
     """
-    return _boundary_maps(sys, None, None)
-
-
-def _boundary_maps(sys: SystemSpec, readout, prepare) -> tuple[np.ndarray, np.ndarray]:
-    """``boundary_projectors`` where a given map replaces the system's own (vectors lifted)."""
-    own_readout, own_prepare = boundary_vectors(sys.distributions())
-    readout = np.asarray(own_readout if readout is None else readout)
-    prepare = np.asarray(own_prepare if prepare is None else prepare)
-    if readout.ndim == 1:
-        readout = np.kron(readout, np.eye(3))
-    if prepare.ndim == 1:
-        prepare = np.kron(prepare.reshape(-1, 1), np.eye(3))
-    return readout, prepare
+    readout, prepare = boundary_vectors(sys.distributions())
+    return np.kron(readout, np.eye(3)), np.kron(prepare.reshape(-1, 1), np.eye(3))
 
 
 def _mode_weights(right, left, readout, prepare) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qtel import detect_plateaus, detect_steps, fit_exponential_decay
-from qtel.analysis import _local_maxima
+from qtel.analysis import _local_maxima, _runs
 
 
 def staircase(times, period=8.0, ratio=0.45, edge=0.4):
@@ -22,12 +22,12 @@ class TestPlateauDetection:
         for p in plats:
             assert p.duration > 1.0
 
-    def test_leading_run_excluded_by_default(self):
+    def test_leading_run_excluded(self):
+        # Five levels, the first drop ending at t = 8: the flat start is no plateau.
         times = np.linspace(0, 40, 2001)
         plats = detect_plateaus(times, staircase(times))
-        assert plats[0].t_start > 0.0
-        with_leading = detect_plateaus(times, staircase(times), include_leading=True)
-        assert len(with_leading) == len(plats) + 1
+        assert len(plats) == 4
+        assert plats[0].t_start >= 8.0
 
     def test_pure_exponential_has_no_log_plateaus(self):
         times = np.linspace(0, 50, 1001)
@@ -95,3 +95,26 @@ class TestLocalMaxima:
             s = np.round(rng.normal(size=n), 1)
             loop = [i for i in range(1, n - 1) if s[i] >= s[i - 1] and s[i] >= s[i + 1]]
             assert _local_maxima(s).tolist() == loop
+
+
+def loop_runs(mask):
+    """Maximal True runs found by walking the mask, the reference for ``_runs``."""
+    out, i = [], 0
+    while i < len(mask):
+        if mask[i]:
+            j = i
+            while j + 1 < len(mask) and mask[j + 1]:
+                j += 1
+            out.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+class TestRuns:
+    def test_matches_loop_reference(self, rng):
+        masks = [rng.random(n) < p for n in (1, 2, 3, 50) for p in (0.3, 0.5, 0.8)]
+        masks += [np.ones(7, bool), np.zeros(7, bool), np.zeros(0, bool)]
+        for mask in masks:
+            assert _runs(mask) == loop_runs(mask)

@@ -10,7 +10,7 @@ import inspect
 import pytest
 
 import qtel
-from qtel import analysis, model, oracle, rates, superop
+from qtel import analysis, dynamics, model, oracle, rates, superop
 
 PUBLIC_NAMES = {
     "__version__",
@@ -49,10 +49,10 @@ def test_public_names():
 
 
 SIGNATURES = {
-    rates.channel_rates_from_modes: ("mode_rates", "weights", "method"),
-    rates.extract_rates: ("sd", "readout", "prepare", "method"),
+    rates.channel_rates_from_modes: ("mode_rates", "weights"),
+    rates.extract_rates: ("sd",),
     rates.free_decay_rates: ("sys",),
-    analysis.detect_plateaus: ("times", "signal", "log_scale", "include_leading"),
+    analysis.detect_plateaus: ("times", "signal", "log_scale"),
     analysis.detect_steps: ("times", "signal"),
     analysis.fit_exponential_decay: ("times", "signal", "t_skip"),
     oracle.empirical_spectrum: ("f", "n_samples", "seed"),
@@ -60,6 +60,7 @@ SIGNATURES = {
 }
 
 FIELDS = {
+    dynamics.PulseSequence: ("events",),
     model.SystemSpec: ("b0", "fluctuators", "white_noise"),
     superop.Superoperator: ("mat", "kind", "system"),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,20 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qtel import cli
 from qtel.cli import ConfigError, ExperimentConfig, presets, run, main
+from qtel.superop import ContractionError, discrete_transfer_operator
+
+# Every preset on a grid small enough for the suite, keeping its experiment and parameters.
+SHRUNK = {
+    "fig2": {"t_points": 51, "t_max": 10.0},
+    "fig3a": {"theta_points": 5},
+    "fig3b": {"theta_points": 5},
+    "fig4a": {"tau_points": 4},
+    "fig4b": {"tau_points": 4},
+    "fig5": {"t_points": 41, "t_max": 10.0},
+    "fig6": {"t_points": 41, "t_max": 10.0},
+}
 
 
 class TestConfigValidation:
@@ -110,10 +124,11 @@ class TestRun:
         assert meta["config"]["experiment"] == "free-decay"
         assert meta["n_rows"] == 21
 
-    def test_rerun_from_embedded_config_is_byte_identical(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(presets()["fig2"] | {"t_points": 51, "t_max": 10.0})
+    @pytest.mark.parametrize("preset", sorted(SHRUNK))
+    def test_rerun_from_embedded_config_is_byte_identical(self, tmp_path, preset):
+        cfg = ExperimentConfig.from_dict(presets()[preset] | SHRUNK[preset])
         first = run(cfg, tmp_path / "a")
-        meta = json.loads((tmp_path / "a" / "free-decay.meta.json").read_text())
+        meta = json.loads(first.with_suffix(".meta.json").read_text())
         again = ExperimentConfig.from_dict(meta["config"])
         second = run(again, tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()
@@ -154,6 +169,17 @@ class TestRun:
         )
         parsed = np.loadtxt(csv_path, delimiter=",", skiprows=2)
         assert np.array_equal(parsed[:, 1:], traj.points)
+
+    def test_enum_verify_rejects_complex_reference(self, tmp_path, monkeypatch):
+        # The powered step is contracted through the same imaginary-part check as the engine.
+        def complex_step(sys, dt):
+            op = discrete_transfer_operator(sys, dt)
+            return dataclasses.replace(op, mat=op.mat * np.exp(1e-3j))
+
+        monkeypatch.setattr(cli, "discrete_transfer_operator", complex_step)
+        cfg = ExperimentConfig.from_dict({"experiment": "enum-verify", "n_steps": 4, "dt": 0.1})
+        with pytest.raises(ContractionError, match="imaginary part"):
+            run(cfg, tmp_path)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"experiment": "enum-verify"})

@@ -173,10 +173,7 @@ class TestSequenceOperator:
     def test_periodic_train_matches_bang_bang(self, strong_mixed_system):
         tau, n = 0.9, 5
         result = bang_bang_operator(strong_mixed_system, tau, n, axis="y")
-        seq = PulseSequence(
-            events=tuple((k * tau, Y_AXIS, np.pi) for k in range(n)),
-            description="periodic pi train",
-        )
+        seq = PulseSequence(events=tuple((k * tau, Y_AXIS, np.pi) for k in range(n)))
         composed = sequence_operator(strong_mixed_system, seq, n * tau)
         assert_allclose(composed, result.transfer, atol=1e-12)
 
@@ -188,7 +185,6 @@ class TestSequenceOperator:
                 (t / 2, X_AXIS, np.pi),
                 (t, X_AXIS, np.pi / 2),
             ),
-            description="spin echo",
         )
         composed = sequence_operator(strong_mixed_system, seq, t)
         signal = echo_signal(strong_mixed_system, [t])

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qtel import (
     angle_sweep,
-    boundary_projectors,
     decoherence_generator,
     extract_rates,
     free_decay_rates,
@@ -93,56 +94,15 @@ class TestExtractRates:
 
     def test_envelope_fit_agrees_with_spectral_weights(self):
         # Beat-free case (one dominant oscillation frequency per channel):
-        # the windowed envelope fit must reproduce the spectral rates.
+        # the windowed envelope fit, which a defective decomposition takes,
+        # must reproduce the spectral rates.
         sys = make_system(theta=np.pi / 2, g=0.1, gamma=0.5)
         sd = spectral_decomposition(decoherence_generator(sys))
-        spectral = extract_rates(sd, method="spectral-weight")
-        fitted = extract_rates(sd, method="envelope-fit")
+        spectral = extract_rates(sd)
+        fitted = extract_rates(dataclasses.replace(sd, defective=True))
+        assert (spectral.method, fitted.method) == ("spectral-weight", "envelope-fit")
         assert abs(fitted.rate_z - spectral.rate_z) / spectral.rate_z < 0.05
         assert abs(fitted.rate_xy - spectral.rate_xy) / spectral.rate_xy < 0.05
-
-    def test_spectral_weight_method_requires_healthy_decomposition(self):
-        sd = spectral_decomposition(decoherence_generator(make_system()))
-        object.__setattr__(sd, "defective", True)
-        with pytest.raises(ValueError, match="defective"):
-            extract_rates(sd, method="spectral-weight")
-
-    def test_accepts_raw_boundary_vectors(self):
-        from qtel import boundary_vectors
-
-        sys = make_system(theta=np.pi / 2, g=0.3, gamma=0.1)
-        sd = spectral_decomposition(decoherence_generator(sys))
-        readout, prepare = boundary_vectors(sys.distributions())
-        explicit = extract_rates(sd, readout, prepare)
-        implicit = extract_rates(sd)
-        assert explicit.rate_z == implicit.rate_z
-        assert explicit.rate_xy == implicit.rate_xy
-
-    @pytest.mark.parametrize("lifted", [False, True], ids=["vector", "map"])
-    def test_each_boundary_map_defaults_separately(self, lifted):
-        # A zero map on either side sees no mode, whether or not the other is given.
-        sys = make_system(theta=np.pi / 4, g=0.3, gamma=0.1, eta=0.04)
-        sd = spectral_decomposition(decoherence_generator(sys))
-        readout, prepare = boundary_projectors(sys)
-        zero_readout = np.zeros_like(readout) if lifted else np.zeros(2)
-        zero_prepare = np.zeros_like(prepare) if lifted else np.zeros(2)
-        for rates in (
-            extract_rates(sd, readout=zero_readout),
-            extract_rates(sd, zero_readout, prepare),
-            extract_rates(sd, prepare=zero_prepare),
-            extract_rates(sd, readout, zero_prepare),
-        ):
-            assert (rates.rate_z, rates.rate_xy) == (0.0, 0.0)
-
-    def test_envelope_path_rejects_explicit_boundary_maps(self):
-        sys = make_system(theta=np.pi / 2, g=0.3, gamma=0.1)
-        sd = spectral_decomposition(decoherence_generator(sys))
-        readout, prepare = boundary_projectors(sys)
-        with pytest.raises(ValueError, match="readout/prepare"):
-            extract_rates(sd, readout, prepare, method="envelope-fit")
-        object.__setattr__(sd, "defective", True)
-        with pytest.raises(ValueError, match="readout/prepare"):
-            extract_rates(sd, readout, prepare)
 
 
 class TestModeSelection:
@@ -152,7 +112,7 @@ class TestModeSelection:
         weights[0] = [0.0, 0.5, 0.5, 0.0]  # x sees 0.05 and 0.2
         weights[1] = [0.0, 0.5, 0.5, 0.0]
         weights[2] = [0.9, 0.0, 0.0, 0.1]  # z sees only the zero mode + 0.5
-        rates = channel_rates_from_modes(mode_rates, weights, method="spectral-weight")
+        rates = channel_rates_from_modes(mode_rates, weights)
         assert rates.rate_x == 0.05
         assert rates.rate_z == 0.5
 
@@ -161,27 +121,27 @@ class TestModeSelection:
         # not capture the channel rate.
         mode_rates = np.array([0.01, 0.1])
         weights = np.array([[1e-4, 0.5], [1e-4, 0.5], [0.9, 1e-12]])
-        rates = channel_rates_from_modes(mode_rates, weights, method="spectral-weight")
+        rates = channel_rates_from_modes(mode_rates, weights)
         assert rates.rate_x == 0.1
         assert rates.rate_z == 0.01
 
     def test_all_conserved_channel_has_zero_rate(self):
         mode_rates = np.array([0.0, 0.3])
         weights = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        rates = channel_rates_from_modes(mode_rates, weights, method="spectral-weight")
+        rates = channel_rates_from_modes(mode_rates, weights)
         assert rates.rate_x == rates.rate_z == 0.0
 
     def test_comparable_weights_with_distinct_rates_flagged(self):
         mode_rates = np.array([0.1, 0.3])
         weights = np.array([[0.5, 0.4], [0.5, 0.4], [0.5, 0.4]])
-        rates = channel_rates_from_modes(mode_rates, weights, method="spectral-weight")
+        rates = channel_rates_from_modes(mode_rates, weights)
         assert rates.rate_x == 0.1
         assert any(flag.endswith("rate-ambiguous") for flag in rates.flags)
 
     def test_conjugate_pair_weights_not_flagged(self):
         mode_rates = np.array([0.1, 0.1, 0.4])
         weights = np.array([[0.5, 0.5, 0.01], [0.5, 0.5, 0.01], [0.0, 0.0, 1.0]])
-        rates = channel_rates_from_modes(mode_rates, weights, method="spectral-weight")
+        rates = channel_rates_from_modes(mode_rates, weights)
         assert rates.flags == ()
 
 
