@@ -76,7 +76,6 @@ class ExperimentConfig:
     tau_points: int = 0
     tau_spacing: str = "linear"
     pulse_axis: str = "y"
-    n_pulses: int = 1
     dt: float = 0.1
     n_steps: int = 12
     probe_times: list[float] = field(default_factory=list)

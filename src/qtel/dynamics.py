@@ -9,8 +9,8 @@ inserted between free-evolution segments, composing three protocols:
 * arbitrary user-defined pulse schedules.
 
 Every composed operator is a schedule of free segments and pulses for the
-contraction engine in :mod:`qtel.superop`, except that bang-bang powers its
-``d x d`` period operator for its rates.
+contraction engine in :mod:`qtel.superop`; bang-bang also builds its ``d x d``
+period operator, for its spectrum only.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ import numpy as np
 from .model import SystemSpec, as_bloch_array, rotation_matrix
 from .rates import ChannelRates, channel_rates_from_modes
 from .superop import (
+    KIND_STEP,
     EigendecompositionError,
     SpectralDecomposition,
-    boundary_projectors,
+    Superoperator,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
     _compose,
     _exp_generator,
     _mode_weights,
-    _real_transfer,
 )
 
 __all__ = [
@@ -165,10 +165,10 @@ def bang_bang_operator(
 
     One period is an instantaneous pi rotation about the chosen axis, then
     free evolution ``exp(-tau * generator)``: the pulses act at ``t = k tau``,
-    ``k = 0 .. n_pulses - 1``.  The transfer matrix is the boundary
-    contraction of the period operator raised to ``n_pulses``; the pulsed
-    decay rates follow from its eigenvalues exactly as the free rates
-    follow from the generator spectrum.
+    ``k = 0 .. n_pulses - 1``.  The contraction engine runs this schedule for
+    the transfer matrix.  The pulsed decay rates follow from the eigenvalues
+    of the period operator, which the generator's routine decomposes and
+    flags; a period flagged defective raises ``EigendecompositionError``.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
@@ -178,27 +178,22 @@ def bang_bang_operator(
         raise ValueError("axis must be 'x' or 'y'")
     if sd is None:
         sd = spectral_decomposition(decoherence_generator(sys))
-    free = _exp_generator(sd, tau)
+    pulse = rotation_matrix(_AXES[axis], np.pi)
     # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
-    period = (free.reshape(-1, 3) @ rotation_matrix(_AXES[axis], np.pi)).reshape(free.shape)
-
-    eigenvalues, right = np.linalg.eig(period)
-    if not np.isfinite(cond := np.linalg.cond(right)) or cond > 1e10:
+    period = (_exp_generator(sd, tau).reshape(-1, 3) @ pulse).reshape(sd.dimension, -1)
+    psd = spectral_decomposition(Superoperator(mat=period, kind=KIND_STEP, system=sys))
+    if psd.defective:
         raise EigendecompositionError(
             f"pulsed one-period operator is near-defective at tau={tau} "
-            f"(eigenvector condition {cond:.2e})"
+            f"(eigenvector condition {psd.condition:.2e})"
         )
-    readout, prepare = boundary_projectors(sys)
-    weights = _mode_weights(right, np.linalg.inv(right), readout, prepare)
     with np.errstate(divide="ignore"):
-        candidate_rates = -np.log(np.abs(eigenvalues)) / tau
+        candidate_rates = -np.log(np.abs(psd.eigenvalues)) / tau
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
-    rates = channel_rates_from_modes(candidate_rates, weights)
-
-    transfer = _real_transfer(readout @ np.linalg.matrix_power(period, n_pulses) @ prepare)
+    rates = channel_rates_from_modes(candidate_rates, _mode_weights(psd))
     return BangBangResult(
-        transfer=transfer,
-        eigenvalues=eigenvalues,
+        transfer=_compose(sd, [("pulse", pulse), ("free", tau)] * n_pulses)[0],
+        eigenvalues=psd.eigenvalues,
         candidate_rates=candidate_rates,
         rates=rates,
         tau=tau,

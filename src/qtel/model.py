@@ -304,6 +304,7 @@ def boundary_vectors(
     readout = np.ones(1, dtype=complex)
     prepare = np.ones(1, dtype=complex)
     for dist in distributions:
-        readout = np.kron(readout, np.array([1.0, 1.0]) / np.sqrt(2.0))
-        prepare = np.kron(prepare, np.sqrt(2.0) * np.array([dist.p_plus, dist.p_minus]))
+        levels = np.sqrt(2.0) * np.array([dist.p_plus, dist.p_minus])
+        readout = np.multiply.outer(readout, np.array([1.0, 1.0]) / np.sqrt(2.0)).ravel()
+        prepare = np.multiply.outer(prepare, levels).ravel()
     return readout, prepare

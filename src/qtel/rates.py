@@ -24,7 +24,6 @@ from .analysis import _local_maxima
 from .model import FluctuatorSpec, SystemSpec
 from .superop import (
     SpectralDecomposition,
-    boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
@@ -168,9 +167,7 @@ def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
     """
     if sd.defective:
         return _envelope_fit_rates(sd)
-    readout, prepare = boundary_projectors(sd.operator.system)
-    weights = _mode_weights(sd.right_vectors, sd.left_vectors, readout, prepare)
-    return channel_rates_from_modes(sd.eigenvalues.real, weights)
+    return channel_rates_from_modes(sd.eigenvalues.real, _mode_weights(sd))
 
 
 def _fit_envelope_rate(times: np.ndarray, signal: np.ndarray) -> float:

@@ -19,6 +19,17 @@ def make_system(b0=1.0, g=0.3, theta=0.0, gamma=0.1, eta=0.0, white_noise=None):
     )
 
 
+def two_fluctuator_system():
+    """Two fluctuators with tilted couplings, unequal rates and imbalances."""
+    return SystemSpec(
+        b0=1.0,
+        fluctuators=(
+            FluctuatorSpec(g=[0.2, 0.1, 0.25], gamma=0.15, eta=0.05),
+            FluctuatorSpec(g=[-0.1, 0.3, 0.05], gamma=0.6, eta=-0.2),
+        ),
+    )
+
+
 @pytest.fixture
 def strong_mixed_system():
     """Strong coupling at the mixed working point (the fig2 parameters)."""

@@ -10,7 +10,7 @@ import inspect
 import pytest
 
 import qtel
-from qtel import analysis, dynamics, model, oracle, rates, superop
+from qtel import analysis, cli, dynamics, model, oracle, rates, superop
 
 PUBLIC_NAMES = {
     "__version__",
@@ -60,8 +60,21 @@ SIGNATURES = {
 }
 
 FIELDS = {
+    cli.ExperimentConfig: (
+        "experiment", "b0", "gamma", "eta", "g", "g_vector", "theta", "theta_values",
+        "theta_points", "eta_values", "white_noise", "initial", "frame", "t_max", "t_points",
+        "tau_min", "tau_max", "tau_points", "tau_spacing", "pulse_axis", "dt", "n_steps",
+        "probe_times", "n_samples", "seed", "workers",
+    ),
+    dynamics.BangBangResult: (
+        "transfer", "eigenvalues", "candidate_rates", "rates", "tau", "n_pulses", "axis",
+    ),
     dynamics.PulseSequence: ("events",),
     model.SystemSpec: ("b0", "fluctuators", "white_noise"),
+    superop.SpectralDecomposition: (
+        "eigenvalues", "right_vectors", "left_vectors", "condition", "defective",
+        "max_residual", "operator",
+    ),
     superop.Superoperator: ("mat", "kind", "system"),
 }
 

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from qtel import (
     BlochTrajectory,
+    EigendecompositionError,
     FluctuatorSpec,
     PulseSequence,
     SystemSpec,
@@ -19,14 +21,16 @@ from qtel import (
     fit_exponential_decay,
     free_decay_rates,
     free_trajectory,
+    rotation_matrix,
     sequence_operator,
     spectral_decomposition,
     to_rotating_frame,
     transfer_from_spectral,
 )
+from qtel import superop
 from qtel.superop import boundary_projectors
 
-from conftest import make_system
+from conftest import make_system, two_fluctuator_system
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -116,6 +120,12 @@ class TestBangBang:
         vecs = rng.normal(size=(100, 3))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         assert np.linalg.norm(vecs @ result.transfer.T, axis=1).max() <= 1.0 + 1e-9
+
+    def test_defective_period_raises_through_shared_gate(self, monkeypatch, strong_mixed_system):
+        sd = spectral_decomposition(decoherence_generator(strong_mixed_system))
+        monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", 0.0)
+        with pytest.raises(EigendecompositionError, match="tau=1.3"):
+            bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1, sd=sd)
 
     def test_invalid_arguments_rejected(self, strong_mixed_system):
         with pytest.raises(ValueError, match="tau"):
@@ -234,16 +244,6 @@ def expm_schedule(sys, factors):
     return (readout @ full @ prepare).real
 
 
-def two_fluctuator_system():
-    return SystemSpec(
-        b0=1.0,
-        fluctuators=(
-            FluctuatorSpec(g=[0.2, 0.1, 0.25], gamma=0.15, eta=0.05),
-            FluctuatorSpec(g=[-0.1, 0.3, 0.05], gamma=0.6, eta=-0.2),
-        ),
-    )
-
-
 @pytest.mark.parametrize(
     "sys, defective",
     [
@@ -300,6 +300,17 @@ class TestScheduleEngineAgainstExpm:
         result = bang_bang_operator(sys, tau, n, axis="x", sd=self.decomposition(sys, defective))
         expected = expm_schedule(sys, [(X_AXIS, np.pi), tau] * n)
         assert_allclose(result.transfer, expected, rtol=0, atol=1e-10)
+
+    def test_bang_bang_eigenvalues(self, sys, defective):
+        tau = 1.3
+        result = bang_bang_operator(sys, tau, 1, axis="y", sd=self.decomposition(sys, defective))
+        lift = np.kron(np.eye(2**sys.n_fluctuators), rotation_matrix(Y_AXIS, np.pi))
+        expected = np.linalg.eigvals(scipy.linalg.expm(-tau * decoherence_generator(sys).mat) @ lift)
+        # Pair each eigenvalue with its nearest counterpart: conjugate pairs may swap order.
+        got, want = scipy.optimize.linear_sum_assignment(
+            np.abs(result.eigenvalues[:, None] - expected[None, :])
+        )
+        assert_allclose(result.eigenvalues[got], expected[want], rtol=0, atol=1e-10)
 
 
 class TestBlochTrajectory:

@@ -20,7 +20,7 @@ from qtel import (
 )
 from qtel.superop import KIND_GENERATOR, Superoperator
 
-from conftest import make_system
+from conftest import make_system, two_fluctuator_system
 
 
 def contract(sys, mat):
@@ -191,6 +191,21 @@ class TestSpectralDecomposition:
     def test_biorthonormal_pairs(self):
         sd = spectral_decomposition(decoherence_generator(make_system(theta=0.7)))
         assert_allclose(sd.left_vectors @ sd.right_vectors, np.eye(6), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            make_system(theta=0.7, eta=0.03),
+            two_fluctuator_system(),
+            # Aligned noise just past the exceptional point g = gamma.
+            make_system(g=0.1 * (1.0 + 1e-6), gamma=0.1),
+        ],
+        ids=["one", "two", "near-exceptional"],
+    )
+    def test_condition_bounds_two_norm_condition(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        cond2 = np.linalg.cond(sd.right_vectors)
+        assert cond2 <= sd.condition <= sd.dimension * cond2
 
     def test_eigenpair_residuals_small(self):
         sd = spectral_decomposition(decoherence_generator(make_system(theta=1.1, eta=0.05)))
