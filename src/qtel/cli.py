@@ -9,6 +9,13 @@ the same seed reproduces the CSV byte for byte.
 Experiments: free-decay, rates-sweep, bang-bang, echo, mc-verify,
 enum-verify.  Presets (fig2 ... fig6) reproduce the library's reference
 figures at desk scale.
+
+A config is checked in full before any work starts.  This module keeps
+only the rules of its own fields (required fields, grids, seed, workers);
+every physical value is checked by building what the run builds, so the
+range checks live once, in the library's spec dataclasses and
+``model._switching_probabilities``, and their messages are reported as
+they are.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import bang_bang_operator, echo_signal, free_trajectory, to_rotating_frame
-from .model import FluctuatorSpec, SystemSpec
+from .model import (FluctuatorSpec, SystemSpec, _single_fluctuator, _switching_probabilities,
+                    as_bloch_array)
 from .oracle import MAX_ENUM_STEPS, enumerate_sequences, sample_trajectories
 from .rates import angle_sweep, extract_rates
 from .superop import (
@@ -44,7 +52,12 @@ EXPERIMENTS = ("free-decay", "rates-sweep", "bang-bang", "echo", "mc-verify", "e
 
 
 class ConfigError(ValueError):
-    """Invalid experiment config; message aggregates every problem found."""
+    """Invalid experiment config; message aggregates every problem found.
+
+    Each line reads ``<field>: <message>``.  Rules of the CLI's own fields
+    are checked in this module; a physical value's line carries the
+    ``ValueError`` message of the library check that rejected it.
+    """
 
 
 @dataclass
@@ -94,59 +107,43 @@ class ExperimentConfig:
         if "experiment" not in known:
             errors.append("experiment: required")
             raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+        errors.extend(f"{k}: must be finite" for k, v in known.items() if not all(  # NaN, ±Infinity
+            math.isfinite(x) for x in (v if isinstance(v, list) else [v]) if isinstance(x, float)))
         cfg = cls(**known)
         errors.extend(cfg._validate())
-        if errors:
-            raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+        if errors:  # each distinct line once: a grid or list can repeat a library message
+            raise ConfigError("invalid config:\n  " + "\n  ".join(dict.fromkeys(errors)))
         return cfg
 
     def _validate(self) -> list[str]:
-        errors = []
         if self.experiment not in EXPERIMENTS:
-            errors.append(f"experiment: must be one of {', '.join(EXPERIMENTS)}")
-            return errors
-        if self.b0 < 0 or not math.isfinite(self.b0):
-            errors.append("b0: must be finite and >= 0")
-        if self.gamma < 0:
-            errors.append("gamma: must be >= 0")
-        if abs(self.eta) > self.gamma:
-            errors.append("eta: |eta| must not exceed gamma")
+            return [f"experiment: must be one of {', '.join(EXPERIMENTS)}"]
+        errors = []
         if not 0 <= self.seed < 2**64:
             errors.append("seed: must fit in an unsigned 64-bit integer")
         if self.workers < 1:
             errors.append("workers: must be >= 1")
 
-        needs_vector = self.experiment in ("free-decay", "bang-bang", "mc-verify")
-        if needs_vector:
-            if self.g_vector is not None:
-                if len(self.g_vector) != 3:
-                    errors.append("g_vector: must have 3 components")
-            elif self.g is None:
+        if self.experiment in ("free-decay", "bang-bang", "mc-verify") and self.g_vector is None:
+            if self.g is None:
                 errors.append("g or g_vector: required")
             elif self.theta is None:
                 errors.append("theta: required when g is given as a magnitude")
-        if self.experiment in ("rates-sweep", "echo"):
-            if self.g is None:
-                errors.append("g: required (magnitude)")
+        if self.experiment in ("rates-sweep", "echo") and self.g is None:
+            errors.append("g: required (magnitude)")
         if self.experiment == "rates-sweep":
             if self.theta_points < 2 and not self.theta_values:
                 errors.append("theta_points or theta_values: required")
             if not self.eta_values:
                 errors.append("eta_values: required (use [0.0] for symmetric switching)")
-            elif any(abs(eta) > self.gamma for eta in self.eta_values):
-                errors.append("eta_values: each |eta| must not exceed gamma")
         if self.experiment == "echo" and not self.theta_values:
             errors.append("theta_values: required")
-        if self.experiment in ("free-decay", "echo"):
-            if self.t_max <= 0 or self.t_points < 2:
-                errors.append("t_max and t_points: required (t_max > 0, t_points >= 2)")
-        if self.experiment == "free-decay":
-            if self.frame not in ("lab", "rotating"):
-                errors.append("frame: must be 'lab' or 'rotating'")
-            if len(self.initial) != 3:
-                errors.append("initial: must have 3 components")
-            elif float(np.linalg.norm(self.initial)) > 1.0 + 1e-12:
-                errors.append("initial: must lie in the Bloch ball")
+        if self.experiment in ("free-decay", "echo") and (self.t_max <= 0 or self.t_points < 2):
+            errors.append("t_max and t_points: required (t_max > 0, t_points >= 2)")
+        if self.experiment == "free-decay" and self.frame not in ("lab", "rotating"):
+            errors.append("frame: must be 'lab' or 'rotating'")
+        if self.experiment in ("free-decay", "mc-verify"):
+            _check(errors, "initial", as_bloch_array, self.initial)
         if self.experiment == "bang-bang":
             if self.tau_points < 2 or self.tau_min <= 0 or self.tau_max <= self.tau_min:
                 errors.append("tau_min/tau_max/tau_points: required increasing grid, tau_min > 0")
@@ -166,8 +163,21 @@ class ExperimentConfig:
         if self.experiment == "enum-verify":
             if not 1 <= self.n_steps <= MAX_ENUM_STEPS:
                 errors.append(f"n_steps: must be in [1, {MAX_ENUM_STEPS}]")
-            if not 0 < self.dt < ENUM_VERIFY_DT_MAX:
-                errors.append(f"dt: must lie in (0, {ENUM_VERIFY_DT_MAX:g}) for enum-verify")
+            for gamma, eta, _, _ in ENUM_VERIFY_GRID:
+                _check(errors, "dt", _switching_probabilities, gamma, eta, self.dt)
+        # Physical values: build what the run builds; a zero coupling stands in for a missing one.
+        gvec = np.zeros(3) if self.g_vector is None and None in (self.g, self.theta) else None
+        try:
+            sys = self.system(g_vector=gvec)
+        except ValueError as exc:  # each spec message opens with the parameter it rejects
+            name = str(exc).split()[0].strip("|").replace("-", "_")
+            g_field = "g" if self.g_vector is None else "g_vector"
+            errors.append(f"{g_field if name == 'g' else name}: {exc}")
+            return errors
+        for eta in self.eta_values:  # only eta differs from the system just built
+            _check(errors, "eta_values", self.system, gvec, eta)
+        if self.experiment == "mc-verify":
+            _check(errors, "white_noise", _single_fluctuator, sys)
         return errors
 
     def coupling_vector(self) -> np.ndarray:
@@ -229,6 +239,14 @@ class ResultTable:
             "wall_time_s": wall_time_s,
             "config": self.config.to_dict(),
         }
+
+
+def _check(errors: list[str], name: str, check, *args):
+    """Run a library check; its ``ValueError`` becomes the line ``<name>: <message>``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        errors.append(f"{name}: {exc}")
 
 
 def _fmt(value: float) -> str:
@@ -364,9 +382,6 @@ ENUM_VERIFY_GRID = (
     (1.0, 0.0, 2.0, math.pi / 4),
     (0.05, 0.02, 0.8, 1.0),
 )
-
-# Below this dt every switching probability (gamma + |eta|) * dt of the grid stays below 1.
-ENUM_VERIFY_DT_MAX = min(1.0 / (gamma + abs(eta)) for gamma, eta, _, _ in ENUM_VERIFY_GRID)
 
 
 def _run_enum_verify(cfg: ExperimentConfig) -> ResultTable:

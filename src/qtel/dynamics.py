@@ -234,7 +234,7 @@ def sequence_operator(
     to ``t_final``; pulses at equal times apply in listing order.  The
     periodic train and the spin echo are special cases of this product.
     """
-    if t_final < 0:
+    if not t_final >= 0:
         raise ValueError("t_final must be >= 0")
     if seq.events and seq.events[-1][0] > t_final:
         raise ValueError("pulse events must not occur after t_final")

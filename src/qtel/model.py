@@ -157,7 +157,7 @@ class FluctuatorSpec:
         self.g.setflags(write=False)
         if not np.isfinite(self.gamma) or self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if abs(self.eta) > self.gamma:
+        if not abs(self.eta) <= self.gamma:
             raise ValueError(
                 f"|eta| must not exceed gamma (got eta={self.eta}, gamma={self.gamma}); "
                 "larger imbalance would make a switching probability negative"
@@ -271,7 +271,7 @@ def stationary_distribution(f: FluctuatorSpec) -> FluctuatorDistribution:
 def _switching_probabilities(gamma: float, eta: float, dt: float) -> tuple[float, float]:
     """Checked ``p = gamma*dt``, ``d = eta*dt``: one interval leaves + with
     probability ``p + d`` and - with ``p - d``."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be > 0")
     p = gamma * dt
     d = eta * dt
@@ -280,6 +280,15 @@ def _switching_probabilities(gamma: float, eta: float, dt: float) -> tuple[float
     if p + abs(d) > 1.0:
         raise ValueError("switching probabilities exceed 1; reduce dt")
     return p, d
+
+
+def _single_fluctuator(sys: SystemSpec) -> FluctuatorSpec:
+    """The fluctuator of a one-fluctuator system without white noise; raise otherwise."""
+    if sys.n_fluctuators != 1:
+        raise ValueError(f"need exactly one fluctuator, got {sys.n_fluctuators}")
+    if sys.white_noise is not None and np.any(sys.white_noise > 0):
+        raise ValueError("white noise is defined only for the continuous-time generator")
+    return sys.fluctuators[0]
 
 
 def boundary_vectors(

@@ -9,6 +9,9 @@ Two oracles check the transfer-operator machinery from the outside:
   with exact exponential dwell times (no time-step bias) and averages
   the rotated Bloch vectors.
 
+Both oracles take a system of exactly one fluctuator and no white noise,
+the case in which each is exact, and raise ``ValueError`` otherwise.
+
 A spectrum estimator fits the sampled noise to its Lorentzian power
 spectrum, pinning the normalization used by the perturbative rates.
 """
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .model import (FluctuatorSpec, SystemSpec, _switching_probabilities, as_bloch_array,
-                    stationary_distribution, step_rotation)
+from .model import (FluctuatorSpec, SystemSpec, _single_fluctuator, _switching_probabilities,
+                    as_bloch_array, stationary_distribution, step_rotation)
 
 __all__ = [
     "SequenceEnsembleResult",
@@ -71,12 +74,6 @@ class SpectrumEstimate:
     values: np.ndarray
     s_zero: float
     hwhm: float
-
-
-def _single_fluctuator(sys: SystemSpec) -> FluctuatorSpec:
-    if sys.n_fluctuators != 1:
-        raise ValueError("this oracle supports exactly one fluctuator")
-    return sys.fluctuators[0]
 
 
 def _switch_matrix(gamma: float, eta: float, dt: float) -> np.ndarray:

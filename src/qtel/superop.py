@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import (SystemSpec, _switching_probabilities, boundary_vectors, so3_generators,
-                    step_rotation)
+from .model import (SystemSpec, _single_fluctuator, _switching_probabilities, boundary_vectors,
+                    so3_generators, step_rotation)
 
 __all__ = [
     "Superoperator",
@@ -155,14 +155,7 @@ def discrete_transfer_operator(sys: SystemSpec, dt: float) -> Superoperator:
     vectors averages an N-interval evolution over all 2**N level
     sequences with their exact probabilities.
     """
-    if sys.n_fluctuators != 1:
-        raise ValueError("the discrete transfer operator supports exactly one fluctuator")
-    if sys.white_noise is not None and np.any(sys.white_noise > 0):
-        raise ValueError(
-            "white noise is defined only for the continuous-time generator; "
-            "use decoherence_generator"
-        )
-    f = sys.fluctuators[0]
+    f = _single_fluctuator(sys)
     p, d = _switching_probabilities(f.gamma, f.eta, dt)
 
     switch = (1.0 - p) * np.eye(2, dtype=complex) - d * _TAU3 + p * _TAU1 - 1j * d * _TAU2
@@ -265,7 +258,7 @@ def _mode_weights(sd: SpectralDecomposition) -> np.ndarray:
 
 def _exp_generator(sd: SpectralDecomposition, t: float) -> np.ndarray:
     """exp(-t * generator) via the spectral decomposition or expm fallback."""
-    if not sd.defective and sd.left_vectors is not None:
+    if not sd.defective:
         return (sd.right_vectors * np.exp(-sd.eigenvalues * t)) @ sd.left_vectors
     return scipy.linalg.expm(-t * sd.operator.mat)
 
@@ -273,7 +266,7 @@ def _exp_generator(sd: SpectralDecomposition, t: float) -> np.ndarray:
 def _real_transfer(transfer: np.ndarray) -> np.ndarray:
     """Real part of contracted transfer matrices, imaginary part checked."""
     max_imag = float(np.abs(transfer.imag).max(initial=0.0))
-    if max_imag > IMAG_TOL:
+    if not max_imag <= IMAG_TOL:
         raise ContractionError(
             f"contracted transfer matrix has imaginary part {max_imag:.3e} "
             f"(tolerance {IMAG_TOL:.1e})"
@@ -339,7 +332,7 @@ def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
     """
     readout, prepare = boundary_projectors(sd.operator.system)
     d = sd.dimension
-    spectral = not sd.defective and sd.left_vectors is not None
+    spectral = not sd.defective
     # The spectral form runs the whole grid in one pass.  The expm fallback runs one grid
     # point per pass (none for an empty grid) and holds only that point's propagators,
     # so equal durations there, such as the two halves of an echo, share one expm.

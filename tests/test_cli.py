@@ -21,6 +21,9 @@ SHRUNK = {
     "fig6": {"t_points": 41, "t_max": 10.0},
 }
 
+NAN = float("nan")
+MC_VERIFY = {"experiment": "mc-verify", "g": 0.3, "theta": 0.7, "probe_times": [1.0, 2.0]}
+
 
 class TestConfigValidation:
     def test_minimal_free_decay(self):
@@ -69,6 +72,53 @@ class TestConfigValidation:
     def test_sweep_eta_values_checked_against_gamma(self):
         with pytest.raises(ConfigError, match="eta_values"):
             ExperimentConfig.from_dict(presets()["fig3a"] | {"eta_values": [0.0, 0.7]})
+
+    # The range checks the CLI used to repeat now run in the library; none is looser.
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            pytest.param(presets()["fig2"] | {"b0": -1.0}, "b0", id="b0"),
+            pytest.param(presets()["fig2"] | {"gamma": -1.0}, "gamma", id="gamma"),
+            pytest.param(presets()["fig4a"] | {"eta": 0.2}, "eta", id="eta"),
+            pytest.param(presets()["fig3a"] | {"eta_values": [0.0, 0.7]}, "eta_values",
+                         id="eta_values"),
+            pytest.param(presets()["fig2"] | {"g_vector": [0.1, 0.2]}, "g_vector", id="g_vector"),
+            pytest.param(presets()["fig2"] | {"initial": [2.0, 0.0, 0.0]}, "initial",
+                         id="initial"),
+            pytest.param({"experiment": "enum-verify", "dt": 1.0}, "dt", id="dt"),
+        ],
+    )
+    def test_library_range_checks_reject(self, raw, field):
+        with pytest.raises(ConfigError, match=rf"\n  {field}: "):
+            ExperimentConfig.from_dict(raw)
+
+    # Configs that used to pass validation and then fail mid-run or write wrong numbers.
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            pytest.param(presets()["fig2"] | {"gamma": 0.0}, "gamma", id="gamma-zero"),
+            pytest.param(presets()["fig2"] | {"gamma": NAN}, "gamma", id="gamma-nan"),
+            pytest.param(presets()["fig4a"] | {"eta": NAN}, "eta", id="eta-nan"),
+            pytest.param(presets()["fig2"] | {"theta": NAN}, "theta", id="theta-nan"),
+            pytest.param(presets()["fig5"] | {"t_max": NAN}, "t_max", id="t_max-nan"),
+            pytest.param(presets()["fig4b"] | {"tau_max": NAN}, "tau_max", id="tau_max-nan"),
+            pytest.param(presets()["fig2"] | {"white_noise": [-1.0, 0.0, 0.0]}, "white_noise",
+                         id="white_noise-negative"),
+            pytest.param(presets()["fig2"] | {"white_noise": [1.0, 0.0]}, "white_noise",
+                         id="white_noise-short"),
+            pytest.param(presets()["fig2"] | {"g_vector": [NAN, 0.0, 0.3]}, "g_vector",
+                         id="g_vector-nan"),
+            pytest.param(MC_VERIFY | {"initial": [2.0, 0.0, 0.0]}, "initial",
+                         id="mc-verify-initial"),
+            pytest.param(MC_VERIFY | {"probe_times": [1.0, NAN]}, "probe_times",
+                         id="probe_times-nan"),
+            pytest.param(MC_VERIFY | {"white_noise": [0.1, 0.0, 0.0]}, "white_noise",
+                         id="mc-verify-white_noise"),
+        ],
+    )
+    def test_run_breaking_values_rejected(self, raw, field):
+        with pytest.raises(ConfigError, match=rf"\n  {field}: "):
+            ExperimentConfig.from_dict(raw)
 
     def test_round_trip_dict(self):
         raw = presets()["fig2"]
@@ -216,6 +266,16 @@ class TestCliEntryPoint:
         )
         assert result.exit_code != 0
         assert "gamma" in result.output
+
+    def test_non_finite_config_value_reports_field(self, tmp_path):
+        config = tmp_path / "nan.json"
+        config.write_text('{"theta_values": [0.0, NaN]}')  # json.load accepts the literal
+        result = CliRunner().invoke(
+            main, ["fig5", "--config", str(config), "--out", str(tmp_path)]
+        )
+        assert result.exit_code != 0
+        assert "theta_values: must be finite" in result.output
+        assert not (tmp_path / "fig5.csv").exists()
 
     def test_experiment_without_required_fields_fails_cleanly(self, tmp_path):
         result = CliRunner().invoke(main, ["echo", "--out", str(tmp_path)])

@@ -218,6 +218,11 @@ class TestSequenceOperator:
         with pytest.raises(ValueError, match="t_final"):
             sequence_operator(strong_mixed_system, seq, 4.0)
 
+    def test_nan_final_time_rejected(self, strong_mixed_system):
+        seq = PulseSequence(events=((1.0, X_AXIS, np.pi),))
+        with pytest.raises(ValueError, match="t_final"):
+            sequence_operator(strong_mixed_system, seq, np.nan)
+
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             PulseSequence(events=((0.0, np.array([1.0, 1.0, 0.0]), np.pi),))

@@ -113,6 +113,10 @@ class TestFluctuatorStatistics:
         with pytest.raises(ValueError, match="eta"):
             FluctuatorSpec(g=[0, 0, 1], gamma=0.1, eta=0.2)
 
+    def test_nan_imbalance_rejected(self):
+        with pytest.raises(ValueError, match="eta"):
+            FluctuatorSpec(g=[0, 0, 1], gamma=0.1, eta=float("nan"))
+
     def test_zero_rate_requires_explicit_distribution(self):
         with pytest.raises(ValueError, match="initial_distribution"):
             FluctuatorSpec(g=[0, 0, 1], gamma=0.0, eta=0.0)

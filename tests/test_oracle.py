@@ -20,7 +20,7 @@ from qtel import (
 )
 from qtel.superop import boundary_projectors
 
-from conftest import make_system
+from conftest import make_system, two_fluctuator_system
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 
@@ -89,6 +89,28 @@ class TestEnumeration:
     def test_step_cap_enforced(self):
         with pytest.raises(ValueError, match="n_steps"):
             enumerate_sequences(make_system(), dt=0.1, n_steps=21)
+
+
+
+# Both oracles are exact only for one fluctuator without white noise.
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        pytest.param(lambda sys: enumerate_sequences(sys, dt=0.1, n_steps=4), id="enumeration"),
+        pytest.param(lambda sys: sample_trajectories(sys, X_AXIS, [1.0], n_samples=10, seed=0),
+                     id="monte-carlo"),
+    ],
+)
+@pytest.mark.parametrize(
+    "sys, message",
+    [
+        pytest.param(make_system(white_noise=[0.0, 0.0, 0.1]), "white noise", id="white-noise"),
+        pytest.param(two_fluctuator_system(), "one fluctuator", id="two-fluctuators"),
+    ],
+)
+def test_oracles_reject_what_they_cannot_model(oracle, sys, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(sys)
 
 
 class TestMonteCarlo:

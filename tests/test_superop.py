@@ -11,6 +11,7 @@ from qtel import (
     boundary_projectors,
     decoherence_generator,
     discrete_transfer_operator,
+    echo_signal,
     enumerate_sequences,
     evolve_operator,
     fluctuator_dissipator,
@@ -311,6 +312,15 @@ class TestEvolveOperator:
         bad = Superoperator(mat=1j * np.eye(6), kind=KIND_GENERATOR, system=sys)
         with pytest.raises(ContractionError, match="imaginary"):
             evolve_operator(bad, 1.0)
+
+    def test_nan_time_raises(self):
+        # The imaginary-part check fails on NaN, so a NaN time gives no silent nan transfer.
+        sys = make_system()
+        sd = spectral_decomposition(decoherence_generator(sys))
+        with pytest.raises(ContractionError, match="nan"):
+            transfer_from_spectral(sd, [1.0, np.nan])
+        with pytest.raises(ContractionError, match="nan"):
+            echo_signal(sys, [1.0, np.nan])
 
     def test_defective_operator_falls_back_to_expm(self):
         sys = make_system()
