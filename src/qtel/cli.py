@@ -10,7 +10,8 @@ Experiments: free-decay, rates-sweep, bang-bang, echo, mc-verify,
 enum-verify.  Presets (fig2 ... fig6) reproduce the library's reference
 figures at desk scale.
 
-A config is checked in full before any work starts.  This module keeps
+A config is checked in full before any work starts.  Each raw value must
+first have the type its field is annotated with.  This module keeps
 only the rules of its own fields (required fields, grids, seed, workers);
 every physical value is checked by building what the run builds, so the
 range checks live once, in the library's spec dataclasses and
@@ -20,11 +21,15 @@ they are.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -107,6 +112,9 @@ class ExperimentConfig:
         if "experiment" not in known:
             errors.append("experiment: required")
             raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+        type_errors = _type_errors(cls, known)
+        if type_errors:  # a wrongly typed value would break the checks below
+            raise ConfigError("invalid config:\n  " + "\n  ".join(errors + type_errors))
         errors.extend(f"{k}: must be finite" for k, v in known.items() if not all(  # NaN, ±Infinity
             math.isfinite(x) for x in (v if isinstance(v, list) else [v]) if isinstance(x, float)))
         cfg = cls(**known)
@@ -239,6 +247,37 @@ class ResultTable:
             "wall_time_s": wall_time_s,
             "config": self.config.to_dict(),
         }
+
+
+# Resolving the string annotations costs about 0.5 ms; a config class is resolved once.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _type_errors(cls, raw: dict) -> list[str]:
+    """One line per raw value that its field's annotation does not admit.
+
+    An ``int`` field takes a non-bool integer, a ``float`` field a real number
+    and a ``list[float]`` field a list of them; ``None`` passes where the
+    annotation allows it.  ``str`` fields are left to ``_validate``.
+    """
+    errors = []
+    for name, hint in _type_hints(cls).items():
+        options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        if name not in raw or (raw[name] is None and type(None) in options):
+            continue
+        value, kind = raw[name], options[0]
+        if kind is int and not _is_number(value, numbers.Integral):
+            errors.append(f"{name}: must be an integer")
+        elif kind is float and not _is_number(value, numbers.Real):
+            errors.append(f"{name}: must be a number")
+        elif kind == list[float] and not (
+                isinstance(value, list) and all(_is_number(v, numbers.Real) for v in value)):
+            errors.append(f"{name}: must be a list of numbers")
+    return errors
+
+
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check(errors: list[str], name: str, check, *args):

@@ -32,6 +32,7 @@ from .superop import (
     _compose,
     _exp_generator,
     _mode_weights,
+    _real_transfer,
 )
 
 __all__ = [
@@ -169,8 +170,10 @@ def bang_bang_operator(
     the transfer matrix.  The pulsed decay rates follow from the eigenvalues
     of the period operator, which the generator's routine decomposes and
     flags; a period flagged defective raises ``EigendecompositionError``.
+    The period is real: its imaginary roundoff is checked against
+    ``IMAG_TOL`` and dropped, so the real eigensolver runs.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be > 0")
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -180,7 +183,8 @@ def bang_bang_operator(
         sd = spectral_decomposition(decoherence_generator(sys))
     pulse = rotation_matrix(_AXES[axis], np.pi)
     # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
-    period = (_exp_generator(sd, tau).reshape(-1, 3) @ pulse).reshape(sd.dimension, -1)
+    free = _real_transfer(_exp_generator(sd, tau))
+    period = (free.reshape(-1, 3) @ pulse).reshape(sd.dimension, -1)
     psd = spectral_decomposition(Superoperator(mat=period, kind=KIND_STEP, system=sys))
     if psd.defective:
         raise EigendecompositionError(

@@ -14,6 +14,8 @@ the case in which each is exact, and raise ``ValueError`` otherwise.
 
 A spectrum estimator fits the sampled noise to its Lorentzian power
 spectrum, pinning the normalization used by the perturbative rates.
+It imports ``scipy.optimize`` inside ``empirical_spectrum``, its only
+user, so ``import qtel`` neither loads nor pays for that package.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .model import (FluctuatorSpec, SystemSpec, _single_fluctuator, _switching_probabilities,
                     as_bloch_array, stationary_distribution, step_rotation)
@@ -288,6 +289,8 @@ def empirical_spectrum(f: FluctuatorSpec, n_samples: int = 400, seed: int = 0) -
     the autocorrelation is ``g**2 exp(-2 gamma |t|)``, so the fit should
     recover ``S0 = g**2 / gamma`` and ``hw = 2 gamma``.
     """
+    import scipy.optimize  # the only user: ``import qtel`` does not load it
+
     if f.eta != 0.0:
         raise ValueError("spectrum estimation is implemented for eta = 0 only")
     if f.gamma <= 0.0:

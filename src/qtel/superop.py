@@ -74,10 +74,13 @@ class ContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Complex square operator on the joint fluctuator-Bloch space.
+    """Square operator on the joint fluctuator-Bloch space.
 
     ``kind`` is either ``"discrete-step"`` (one-interval transfer) or
-    ``"generator"`` (continuous-time).
+    ``"generator"`` (continuous-time).  The dtype follows the input: a real
+    matrix stays ``float64`` and a complex one ``complex128``.  The generator
+    and the bang-bang period operators are real, so LAPACK's real eigensolver
+    decomposes them; the discrete step operator is complex.
     """
 
     mat: np.ndarray
@@ -85,7 +88,8 @@ class Superoperator:
     system: SystemSpec
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
+        mat = np.asarray(self.mat)
+        mat = np.array(mat, dtype=np.result_type(mat, float))
         d = self.system.dimension
         if mat.shape != (d, d):
             raise ValueError(f"operator must be {d}x{d}, got {mat.shape}")
@@ -139,8 +143,8 @@ def fluctuator_dissipator(gamma: float, eta: float) -> np.ndarray:
 
 def _pad_fluctuator_op(op2: np.ndarray, index: int, n: int) -> np.ndarray:
     """Embed a 2x2 fluctuator operator at position `index` of n factors."""
-    left = np.eye(2**index, dtype=complex)
-    right = np.eye(2 ** (n - index - 1), dtype=complex)
+    left = np.eye(2**index)
+    right = np.eye(2 ** (n - index - 1))
     return np.kron(np.kron(left, op2), right)
 
 
@@ -175,22 +179,28 @@ def decoherence_generator(sys: SystemSpec) -> Superoperator:
     ``sum_i v_i L_i**2 / 2`` on the Bloch block.  Independent
     fluctuators enter additively (joint switches are higher order in dt
     and absent by construction).
+
+    Every term is real (``-i L_k`` is the real antisymmetric ``eps_k`` and the
+    dissipator's ``i eta tau_2`` is real), so the matrix is built as
+    ``float64`` and decomposed by the real eigensolver.
     """
     n = sys.n_fluctuators
     lx, ly, lz = so3_generators()
+    ex, ey, ez = lx.imag, ly.imag, lz.imag  # eps_k = -i L_k
     dim_f = 2**n
-    mat = np.zeros((3 * dim_f, 3 * dim_f), dtype=complex)
+    mat = np.zeros((3 * dim_f, 3 * dim_f))
 
-    bloch = -1j * sys.b0 * lz
+    bloch = sys.b0 * ez
     if sys.white_noise is not None:
         vx, vy, vz = sys.white_noise
-        bloch = bloch + 0.5 * (vx * lx @ lx + vy * ly @ ly + vz * lz @ lz)
-    mat += np.kron(np.eye(dim_f, dtype=complex), bloch)
+        bloch = bloch + 0.5 * (vx * lx @ lx + vy * ly @ ly + vz * lz @ lz).real
+    mat += np.kron(np.eye(dim_f), bloch)
 
     for i, f in enumerate(sys.fluctuators):
-        g_dot_l = f.g[0] * lx + f.g[1] * ly + f.g[2] * lz
-        mat += np.kron(_pad_fluctuator_op(fluctuator_dissipator(f.gamma, f.eta), i, n), np.eye(3))
-        mat += -1j * np.kron(_pad_fluctuator_op(_TAU3, i, n), g_dot_l)
+        g_dot_eps = f.g[0] * ex + f.g[1] * ey + f.g[2] * ez
+        diss = fluctuator_dissipator(f.gamma, f.eta).real
+        mat += np.kron(_pad_fluctuator_op(diss, i, n), np.eye(3))
+        mat += np.kron(_pad_fluctuator_op(_TAU3.real, i, n), g_dot_eps)
 
     return Superoperator(mat=mat, kind=KIND_GENERATOR, system=sys)
 
@@ -204,7 +214,9 @@ def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
     paired.  No SVD runs: residuals are scaled by the larger of the largest
     column norm and the spectral radius, both at most ``||P||_2``, and a
     Frobenius ``condition`` above ``DEFECTIVE_CONDITION`` or a failed
-    inversion (``condition = inf``) sets the ``defective`` flag.
+    inversion (``condition = inf``) sets the ``defective`` flag.  A real
+    operator (the generator, a bang-bang period) runs LAPACK's real
+    eigensolver; its complex eigenpairs come in conjugate pairs.
     """
     try:
         eigenvalues, right = scipy.linalg.eig(op.mat)

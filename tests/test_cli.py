@@ -120,6 +120,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"\n  {field}: "):
             ExperimentConfig.from_dict(raw)
 
+    # Values of the wrong type used to fail without their field's name, or mid-run.
+    @pytest.mark.parametrize(
+        "override, line",
+        [
+            pytest.param({"t_points": "5"}, "t_points: must be an integer", id="int-as-string"),
+            pytest.param({"t_points": 5.5}, "t_points: must be an integer", id="int-as-float"),
+            pytest.param({"g": "0.3"}, "g: must be a number", id="float-as-string"),
+        ],
+    )
+    def test_field_types_checked(self, override, line):
+        with pytest.raises(ConfigError, match=rf"\n  {line}$"):
+            ExperimentConfig.from_dict(presets()["fig2"] | override)
+
     def test_round_trip_dict(self):
         raw = presets()["fig2"]
         cfg = ExperimentConfig.from_dict(raw)

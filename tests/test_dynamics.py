@@ -27,8 +27,8 @@ from qtel import (
     to_rotating_frame,
     transfer_from_spectral,
 )
-from qtel import superop
-from qtel.superop import boundary_projectors
+from qtel import dynamics, superop
+from qtel.superop import ContractionError, boundary_projectors
 
 from conftest import make_system, two_fluctuator_system
 
@@ -127,9 +127,19 @@ class TestBangBang:
         with pytest.raises(EigendecompositionError, match="tau=1.3"):
             bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1, sd=sd)
 
+    def test_non_real_period_raises(self, monkeypatch, strong_mixed_system):
+        # The period is decomposed as a real matrix; an imaginary part past IMAG_TOL is reported.
+        exp_generator = dynamics._exp_generator
+        monkeypatch.setattr(dynamics, "_exp_generator",
+                            lambda sd, t: exp_generator(sd, t) * np.exp(1e-3j))
+        with pytest.raises(ContractionError, match="imaginary part"):
+            bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1)
+
     def test_invalid_arguments_rejected(self, strong_mixed_system):
         with pytest.raises(ValueError, match="tau"):
             bang_bang_operator(strong_mixed_system, tau=0.0, n_pulses=1)
+        with pytest.raises(ValueError, match="tau"):
+            bang_bang_operator(strong_mixed_system, tau=np.nan, n_pulses=1)
         with pytest.raises(ValueError, match="n_pulses"):
             bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=0)
         with pytest.raises(ValueError, match="axis"):

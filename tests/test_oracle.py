@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -111,6 +116,17 @@ class TestEnumeration:
 def test_oracles_reject_what_they_cannot_model(oracle, sys, message):
     with pytest.raises(ValueError, match=message):
         oracle(sys)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only empirical_spectrum needs scipy.optimize, and it imports it on use.
+    import qtel
+
+    code = "import sys, qtel; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    env = os.environ | {"PYTHONPATH": str(Path(qtel.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMonteCarlo:

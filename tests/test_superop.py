@@ -175,6 +175,39 @@ class TestGenerator:
             mat += -1j * np.kron(pad(tau3), g_dot_l)
         assert_allclose(decoherence_generator(sys).mat, mat, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            make_system(theta=0.7, eta=0.03),
+            two_fluctuator_system(),
+            SystemSpec(b0=0.8, fluctuators=two_fluctuator_system().fluctuators,
+                       white_noise=[0.01, 0.02, 0.03]),
+        ],
+        ids=["one", "two", "two-white-noise"],
+    )
+    def test_generator_is_real(self, sys):
+        # Built as float64, bit for bit the complex Kronecker construction, whose imaginary
+        # part is exactly zero: the eigensolver gets a real matrix.
+        import qtel
+
+        lx, ly, lz = qtel.so3_generators()
+        eye3, tau3 = np.eye(3), np.diag([1.0, -1.0])
+        n = sys.n_fluctuators
+        bloch = -1j * sys.b0 * lz
+        if sys.white_noise is not None:
+            vx, vy, vz = sys.white_noise
+            bloch = bloch + 0.5 * (vx * lx @ lx + vy * ly @ ly + vz * lz @ lz)
+        mat = np.kron(np.eye(2**n), bloch).astype(complex)
+        for i, f in enumerate(sys.fluctuators):
+            pad = lambda m: np.kron(np.kron(np.eye(2**i), m), np.eye(2 ** (n - i - 1)))
+            g_dot_l = f.g[0] * lx + f.g[1] * ly + f.g[2] * lz
+            mat += np.kron(pad(fluctuator_dissipator(f.gamma, f.eta)), eye3)
+            mat += -1j * np.kron(pad(tau3), g_dot_l)
+        gen = decoherence_generator(sys).mat
+        assert gen.dtype == np.float64
+        assert np.array_equal(mat.imag, np.zeros_like(gen))
+        assert np.array_equal(gen, mat.real)
+
     def test_fluctuator_cap_enforced(self):
         f = FluctuatorSpec(g=[0, 0, 0.1], gamma=0.1)
         with pytest.raises(ValueError, match="cap"):
@@ -182,6 +215,11 @@ class TestGenerator:
 
 
 class TestSpectralDecomposition:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_superoperator_keeps_input_dtype(self, dtype):
+        op = Superoperator(mat=np.eye(6, dtype=dtype), kind=KIND_GENERATOR, system=make_system())
+        assert op.mat.dtype == dtype
+
     def test_diagonal_operator(self):
         sys = make_system()
         mat = np.diag(np.arange(6, dtype=complex))
