@@ -8,9 +8,10 @@ inserted between free-evolution segments, composing three protocols:
 * the spin echo (pi/2 - free t/2 - pi - free t/2 - pi/2, all about x),
 * arbitrary user-defined pulse schedules.
 
-Every composed operator is a schedule of free segments and pulses for the
-contraction engine in :mod:`qtel.superop`; bang-bang also builds its ``d x d``
-period operator, for its spectrum only.
+The echo and arbitrary schedules are sequences of free segments and pulses
+for the contraction engine in :mod:`qtel.superop`.  Bang-bang builds its
+``d x d`` period operator instead: one decomposition of it gives both the
+pulsed rates and the transfer after any number of periods.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from .superop import (
     EigendecompositionError,
     SpectralDecomposition,
     Superoperator,
+    boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
     _compose,
     _exp_generator,
-    _mode_weights,
     _real_transfer,
 )
 
@@ -166,12 +167,14 @@ def bang_bang_operator(
 
     One period is an instantaneous pi rotation about the chosen axis, then
     free evolution ``exp(-tau * generator)``: the pulses act at ``t = k tau``,
-    ``k = 0 .. n_pulses - 1``.  The contraction engine runs this schedule for
-    the transfer matrix.  The pulsed decay rates follow from the eigenvalues
-    of the period operator, which the generator's routine decomposes and
-    flags; a period flagged defective raises ``EigendecompositionError``.
-    The period is real: its imaginary roundoff is checked against
-    ``IMAG_TOL`` and dropped, so the real eigensolver runs.
+    ``k = 0 .. n_pulses - 1``.  The period operator ``U = V diag(mu) V^-1`` is
+    decomposed by the generator's routine, which flags it; a period flagged
+    defective raises ``EigendecompositionError``.  With the boundary modes
+    ``readout @ V`` and coefficients ``V^-1 @ prepare``, the pulsed decay rates
+    follow from the eigenvalues ``mu`` and the weights ``|modes * coeffs.T|``,
+    and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``.  The
+    period is real: its imaginary roundoff is checked against ``IMAG_TOL`` and
+    dropped, so the real eigensolver runs.
     """
     if not tau > 0:
         raise ValueError("tau must be > 0")
@@ -194,9 +197,11 @@ def bang_bang_operator(
     with np.errstate(divide="ignore"):
         candidate_rates = -np.log(np.abs(psd.eigenvalues)) / tau
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
-    rates = channel_rates_from_modes(candidate_rates, _mode_weights(psd))
+    readout, prepare = boundary_projectors(sys)
+    modes, coeffs = readout @ psd.right_vectors, psd.left_vectors @ prepare
+    rates = channel_rates_from_modes(candidate_rates, np.abs(modes * coeffs.T))
     return BangBangResult(
-        transfer=_compose(sd, [("pulse", pulse), ("free", tau)] * n_pulses)[0],
+        transfer=_real_transfer((modes * psd.eigenvalues**n_pulses) @ coeffs),
         eigenvalues=psd.eigenvalues,
         candidate_rates=candidate_rates,
         rates=rates,
@@ -216,8 +221,8 @@ def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None
     pulses compose to a full turn and the signal is 1.
     """
     seg = 0.5 * np.asarray(t_grid, dtype=float)
-    if np.any(seg < 0):
-        raise ValueError("echo times must be >= 0")
+    if not np.all(seg >= 0):  # NaN fails this too
+        raise ValueError("echo times must be >= 0 and not NaN")
     half = rotation_matrix(_AXES["x"], np.pi / 2.0)
     flip = rotation_matrix(_AXES["x"], np.pi)
     if sd is None:

@@ -69,7 +69,7 @@ class EigendecompositionError(RuntimeError):
 
 
 class ContractionError(RuntimeError):
-    """Raised when the contracted transfer matrix is not real."""
+    """Raised when a transfer matrix that must be real is not."""
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,6 @@ def fluctuator_dissipator(gamma: float, eta: float) -> np.ndarray:
     )
 
 
-def _pad_fluctuator_op(op2: np.ndarray, index: int, n: int) -> np.ndarray:
-    """Embed a 2x2 fluctuator operator at position `index` of n factors."""
-    left = np.eye(2**index)
-    right = np.eye(2 ** (n - index - 1))
-    return np.kron(np.kron(left, op2), right)
-
-
 def discrete_transfer_operator(sys: SystemSpec, dt: float) -> Superoperator:
     """One-interval ensemble transfer operator (single fluctuator).
 
@@ -183,26 +176,38 @@ def decoherence_generator(sys: SystemSpec) -> Superoperator:
     Every term is real (``-i L_k`` is the real antisymmetric ``eps_k`` and the
     dissipator's ``i eta tau_2`` is real), so the matrix is built as
     ``float64`` and decomposed by the real eigensolver.
+
+    The matrix is sparse, with at most ``N + 3`` non-zeros per row: a 3x3
+    block on the diagonal for each joint level ``s``, and the dissipator's
+    off-diagonal entry times ``I_3`` at each single-fluctuator flip partner
+    ``s ^ (1 << (N - 1 - i))``.  It is written from these indices, summed in
+    the order of the Kronecker construction (Bloch term, then per fluctuator
+    its dissipator and its coupling), which it reproduces bit for bit.
     """
     n = sys.n_fluctuators
     lx, ly, lz = so3_generators()
     ex, ey, ez = lx.imag, ly.imag, lz.imag  # eps_k = -i L_k
     dim_f = 2**n
-    mat = np.zeros((3 * dim_f, 3 * dim_f))
+    states = np.arange(dim_f)
+    mat = np.zeros((dim_f, 3, dim_f, 3))
 
     bloch = sys.b0 * ez
     if sys.white_noise is not None:
         vx, vy, vz = sys.white_noise
         bloch = bloch + 0.5 * (vx * lx @ lx + vy * ly @ ly + vz * lz @ lz).real
-    mat += np.kron(np.eye(dim_f), bloch)
+    blocks = np.zeros((dim_f, 3, 3)) + bloch
 
     for i, f in enumerate(sys.fluctuators):
         g_dot_eps = f.g[0] * ex + f.g[1] * ey + f.g[2] * ez
         diss = fluctuator_dissipator(f.gamma, f.eta).real
-        mat += np.kron(_pad_fluctuator_op(diss, i, n), np.eye(3))
-        mat += np.kron(_pad_fluctuator_op(_TAU3.real, i, n), g_dot_eps)
+        level = (states >> (n - 1 - i)) & 1  # 0 for s_i = +1, 1 for s_i = -1
+        blocks += diss[level, level][:, None, None] * np.eye(3)
+        blocks += _TAU3.real[level, level][:, None, None] * g_dot_eps
+        partner = states ^ (1 << (n - 1 - i))
+        mat[states, :, partner, :] += diss[level, 1 - level][:, None, None] * np.eye(3)
+    mat[states, :, states, :] = blocks
 
-    return Superoperator(mat=mat, kind=KIND_GENERATOR, system=sys)
+    return Superoperator(mat=mat.reshape(3 * dim_f, 3 * dim_f), kind=KIND_GENERATOR, system=sys)
 
 
 def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
@@ -276,11 +281,11 @@ def _exp_generator(sd: SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def _real_transfer(transfer: np.ndarray) -> np.ndarray:
-    """Real part of contracted transfer matrices, imaginary part checked."""
+    """Real part of a contracted transfer or a bang-bang period, imaginary part checked."""
     max_imag = float(np.abs(transfer.imag).max(initial=0.0))
     if not max_imag <= IMAG_TOL:
         raise ContractionError(
-            f"contracted transfer matrix has imaginary part {max_imag:.3e} "
+            f"transfer has imaginary part {max_imag:.3e} "
             f"(tolerance {IMAG_TOL:.1e})"
         )
     return transfer.real
@@ -308,8 +313,8 @@ def evolve_operator(
     """
     if op.kind != KIND_GENERATOR:
         raise ValueError("evolve_operator requires a generator-kind superoperator")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:  # NaN fails this too
+        raise ValueError("t must be >= 0 and not NaN")
     if t == 0.0:
         return np.eye(op.dimension, dtype=complex), np.eye(3)
     if sd is None:
@@ -329,8 +334,8 @@ def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
     if sd.operator.kind != KIND_GENERATOR:
         raise ValueError("transfer_from_spectral requires a generator-kind superoperator")
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
+    if not np.all(times >= 0):  # NaN fails this too
+        raise ValueError("times must be >= 0 and not NaN")
     out = _compose(sd, [("free", times)]).copy()
     out[times == 0.0] = np.eye(3)
     return out
@@ -357,9 +362,12 @@ def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
         block, decay, propagators = prepare, None, {}
         for kind, value in steps:
             if kind == "free" and spectral:
+                factor = np.multiply.outer(sd.eigenvalues, -np.ravel(value))
+                np.exp(factor, out=factor)
                 if decay is None:
-                    block, decay = sd.left_vectors @ block, 1.0
-                decay = decay * np.exp(-np.multiply.outer(sd.eigenvalues, np.ravel(value)))
+                    block, decay = sd.left_vectors @ block, factor
+                else:
+                    decay = decay * factor
                 continue
             if decay is not None:
                 coeffs = decay[:, :, None] * block.reshape(d, -1, 3)
@@ -372,7 +380,13 @@ def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
                     propagators[t] = _exp_generator(sd, t)
                 block = propagators[t] @ block
         if decay is not None:
-            modes, coeffs = readout @ sd.right_vectors, block.reshape(d, -1, 3)
+            modes = readout @ sd.right_vectors
+            if block.shape[1] == 3:
+                # One column group: the d x 9 weights W[k, 3c + j] = modes[c, k] block[k, j]
+                # read the whole grid out in one product, decay.T @ W.
+                weights = (modes.T[:, :, None] * block[:, None, :]).reshape(d, 9)
+                return _real_transfer((decay.T @ weights).reshape(-1, 3, 3))
+            coeffs = block.reshape(d, -1, 3)
             return _real_transfer(np.einsum("ck,kt,ktj->tcj", modes, decay, coeffs))
         passes.append(block)
     transfer = readout @ np.concatenate(passes, axis=1)

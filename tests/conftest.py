@@ -34,3 +34,19 @@ def two_fluctuator_system():
 def strong_mixed_system():
     """Strong coupling at the mixed working point (the fig2 parameters)."""
     return make_system(b0=1.0, g=0.3, theta=np.pi / 4, gamma=0.1, eta=0.0)
+
+
+def mixed_fluctuator_system(n, white_noise=None):
+    """n fluctuators with distinct tilted couplings and rates, eta alternating in sign."""
+    return SystemSpec(
+        b0=0.9,
+        fluctuators=tuple(
+            FluctuatorSpec(
+                g=[0.1 + 0.05 * i, -0.2 + 0.07 * i, 0.3 - 0.04 * i],
+                gamma=0.1 + 0.15 * i,
+                eta=(-1) ** i * (0.02 + 0.03 * i),
+            )
+            for i in range(n)
+        ),
+        white_noise=white_noise,
+    )

@@ -30,7 +30,7 @@ from qtel import (
 from qtel import dynamics, superop
 from qtel.superop import ContractionError, boundary_projectors
 
-from conftest import make_system, two_fluctuator_system
+from conftest import make_system, mixed_fluctuator_system, two_fluctuator_system
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -134,6 +134,20 @@ class TestBangBang:
                             lambda sd, t: exp_generator(sd, t) * np.exp(1e-3j))
         with pytest.raises(ContractionError, match="imaginary part"):
             bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1)
+
+    def test_boundary_maps_built_once(self, monkeypatch, strong_mixed_system):
+        # The rates and the transfer share one pair of boundary maps.
+        sd = spectral_decomposition(decoherence_generator(strong_mixed_system))
+        calls = []
+
+        def counting(sys):
+            calls.append(sys)
+            return boundary_projectors(sys)
+
+        monkeypatch.setattr(superop, "boundary_projectors", counting)
+        monkeypatch.setattr(dynamics, "boundary_projectors", counting, raising=False)
+        bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1, sd=sd)
+        assert len(calls) == 1
 
     def test_invalid_arguments_rejected(self, strong_mixed_system):
         with pytest.raises(ValueError, match="tau"):
@@ -265,8 +279,9 @@ def expm_schedule(sys, factors):
         (make_system(g=0.3, theta=np.pi / 4, gamma=0.1, eta=0.04), True),
         (two_fluctuator_system(), False),
         (two_fluctuator_system(), True),
+        (mixed_fluctuator_system(3), False),
     ],
-    ids=["one-defective", "two", "two-defective"],
+    ids=["one-defective", "two", "two-defective", "three"],
 )
 class TestScheduleEngineAgainstExpm:
     """Pulse compositions against expm products on the full joint space."""
@@ -311,10 +326,11 @@ class TestScheduleEngineAgainstExpm:
         assert_allclose(composed, expected, rtol=0, atol=1e-10)
 
     def test_bang_bang_transfer(self, sys, defective):
-        tau, n = 1.3, 6
-        result = bang_bang_operator(sys, tau, n, axis="x", sd=self.decomposition(sys, defective))
-        expected = expm_schedule(sys, [(X_AXIS, np.pi), tau] * n)
-        assert_allclose(result.transfer, expected, rtol=0, atol=1e-10)
+        tau, sd = 1.3, self.decomposition(sys, defective)
+        for n in (6, 40):
+            result = bang_bang_operator(sys, tau, n, axis="x", sd=sd)
+            expected = expm_schedule(sys, [(X_AXIS, np.pi), tau] * n)
+            assert_allclose(result.transfer, expected, rtol=0, atol=1e-10)
 
     def test_bang_bang_eigenvalues(self, sys, defective):
         tau = 1.3

@@ -21,7 +21,7 @@ from qtel import (
 )
 from qtel.superop import KIND_GENERATOR, Superoperator
 
-from conftest import make_system, two_fluctuator_system
+from conftest import make_system, mixed_fluctuator_system, two_fluctuator_system
 
 
 def contract(sys, mat):
@@ -182,8 +182,12 @@ class TestGenerator:
             two_fluctuator_system(),
             SystemSpec(b0=0.8, fluctuators=two_fluctuator_system().fluctuators,
                        white_noise=[0.01, 0.02, 0.03]),
+            mixed_fluctuator_system(3),
+            mixed_fluctuator_system(4),
+            mixed_fluctuator_system(5),
+            mixed_fluctuator_system(3, white_noise=[0.03, 0.01, 0.02]),
         ],
-        ids=["one", "two", "two-white-noise"],
+        ids=["one", "two", "two-white-noise", "three", "four", "five", "three-white-noise"],
     )
     def test_generator_is_real(self, sys):
         # Built as float64, bit for bit the complex Kronecker construction, whose imaginary
@@ -352,13 +356,16 @@ class TestEvolveOperator:
             evolve_operator(bad, 1.0)
 
     def test_nan_time_raises(self):
-        # The imaginary-part check fails on NaN, so a NaN time gives no silent nan transfer.
+        # A NaN time is rejected with the argument's name, before any contraction.
         sys = make_system()
-        sd = spectral_decomposition(decoherence_generator(sys))
-        with pytest.raises(ContractionError, match="nan"):
+        gen = decoherence_generator(sys)
+        sd = spectral_decomposition(gen)
+        with pytest.raises(ValueError, match="times must be >= 0 and not NaN"):
             transfer_from_spectral(sd, [1.0, np.nan])
-        with pytest.raises(ContractionError, match="nan"):
+        with pytest.raises(ValueError, match="times must be >= 0 and not NaN"):
             echo_signal(sys, [1.0, np.nan])
+        with pytest.raises(ValueError, match="t must be >= 0 and not NaN"):
+            evolve_operator(gen, np.nan, sd)
 
     def test_defective_operator_falls_back_to_expm(self):
         sys = make_system()
