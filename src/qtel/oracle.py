@@ -20,6 +20,7 @@ user, so ``import qtel`` neither loads nor pays for that package.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -95,25 +96,38 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     of the discrete formalism.
     """
     f = _single_fluctuator(sys)
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
+    n_steps = int(n_steps)
     if not 1 <= n_steps <= MAX_ENUM_STEPS:
         raise ValueError(f"n_steps must be in [1, {MAX_ENUM_STEPS}]")
     w = _switch_matrix(f.gamma, f.eta, dt)
     dist = sys.distributions()[0]
-    p_start = np.array([dist.p_plus, dist.p_minus])
-
-    rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
 
     n_seq = 2**n_steps
     # Bit k of a sequence's code is its level at step k: 0 for s=+1, 1 for s=-1.
-    codes = np.arange(n_seq, dtype=np.uint32)
-
-    probs = p_start[codes & 1]
-    for k in range(n_steps - 1):
-        probs *= w[(codes >> (k + 1)) & 1, (codes >> k) & 1]
-
-    transfer = rot[codes & 1]
+    # The first m = 2**k entries hold every k-step sequence; doubling to k + 1
+    # steps writes the codes with bit k set above them and updates the lower
+    # half in place, so each step costs O(m) and each product keeps the order
+    # rot[b_{n-1}] @ (... @ (rot[b_1] @ rot[b_0])).
+    rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
+    probs = np.empty(n_seq)
+    probs[:2] = dist.p_plus, dist.p_minus
+    transfer = np.empty((n_seq, 3, 3))
+    transfer[:2] = rot
     for k in range(1, n_steps):
-        transfer = rot[(codes >> k) & 1] @ transfer
+        m, h = 2**k, 2 ** (k - 1)
+        np.matmul(rot[1], transfer[:m], out=transfer[m : 2 * m])
+        # matmul copies an input that overlaps its output; 4096-product blocks
+        # keep that copy at 288 kB instead of half the array.
+        lower = transfer[:m]
+        for i in range(0, m, 4096):
+            np.matmul(rot[0], lower[i : i + 4096], out=lower[i : i + 4096])
+        # Bit k - 1, the previous level, is 0 on [0, h) and 1 on [h, m).
+        np.multiply(probs[:h], w[1, 0], out=probs[m : m + h])
+        np.multiply(probs[h:m], w[1, 1], out=probs[m + h : 2 * m])
+        probs[:h] *= w[0, 0]
+        probs[h:m] *= w[0, 1]
 
     # Pairwise sum in place: a running sum over 2**18 terms drifts past 1e-12.
     terms = transfer.reshape(n_seq, 9)
@@ -219,6 +233,8 @@ def sample_trajectories(
         raise ValueError("n_samples must be >= 1")
     n0 = as_bloch_array(n0)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"t_grid must be finite, got {t_grid[~np.isfinite(t_grid)]}")
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be 1-d, strictly increasing and >= 0")
     dist = sys.distributions()[0]

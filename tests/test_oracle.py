@@ -23,6 +23,7 @@ from qtel import (
     telegraph_spectrum,
     transfer_from_spectral,
 )
+from qtel.oracle import MAX_ENUM_STEPS
 from qtel.superop import boundary_projectors
 
 from conftest import make_system, two_fluctuator_system
@@ -95,6 +96,59 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="n_steps"):
             enumerate_sequences(make_system(), dt=0.1, n_steps=21)
 
+    @pytest.mark.parametrize("n_steps", [True, 3.0], ids=["bool", "float"])
+    def test_non_integer_step_count_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            enumerate_sequences(make_system(), dt=0.1, n_steps=n_steps)
+
+    def test_numpy_integer_step_count_accepted(self):
+        sys = make_system(theta=0.4, eta=0.05)
+        result = enumerate_sequences(sys, dt=0.1, n_steps=np.int64(5))
+        assert result.n_steps == 5 and type(result.n_steps) is int
+        assert np.array_equal(result.t_matrix, enumerate_sequences(sys, 0.1, 5).t_matrix)
+
+    def test_step_cap_edge(self):
+        sys = make_system(b0=0.8, g=0.4, theta=0.7, gamma=0.3, eta=-0.1)
+        result = enumerate_sequences(sys, dt=0.05, n_steps=MAX_ENUM_STEPS)
+        reference = powered_contraction(sys, 0.05, MAX_ENUM_STEPS)
+        assert np.abs(result.t_matrix - reference).max() < 1e-12
+        assert abs(result.total_probability - 1.0) < 1e-12
+        # A view would pin all 2**20 products (75 MB) for as long as the result lives.
+        assert result.t_matrix.base is None
+
+    def test_matches_per_sequence_reference(self, rng):
+        # Sum sequence by sequence in plain Python: bit k of code c is the level
+        # at step k (0 for s=+1, 1 for s=-1), each product is
+        # rot[b_{n-1}] @ ... @ rot[b_0] and each probability is p_start[b_0]
+        # times the switching probabilities, left to right.
+        for n in range(1, 7):
+            gamma = rng.uniform(0.05, 0.8)
+            eta = rng.uniform(-gamma, gamma)
+            sys = make_system(b0=rng.uniform(0.0, 2.0), g=rng.uniform(0.0, 1.5),
+                              theta=rng.uniform(0, np.pi / 2), gamma=gamma, eta=eta)
+            dt = rng.uniform(0.01, 0.5)
+            f = sys.fluctuators[0]
+            dist = sys.distributions()[0]
+            levels = (1, -1)
+            p_start = (dist.p_plus, dist.p_minus)
+            leave = {1: (gamma + eta) * dt, -1: (gamma - eta) * dt}
+            rot = [step_rotation(sys.b0, f.g, s, dt) for s in levels]
+            t_matrix = np.zeros((3, 3))
+            total = 0.0
+            for code in range(2**n):
+                bits = [(code >> k) & 1 for k in range(n)]
+                prob = p_start[bits[0]]
+                product = rot[bits[0]]
+                for prev, cur in zip(bits, bits[1:]):
+                    old = levels[prev]
+                    prob *= leave[old] if cur != prev else 1.0 - leave[old]
+                    product = rot[cur] @ product
+                t_matrix += prob * product
+                total += prob
+            result = enumerate_sequences(sys, dt=dt, n_steps=n)
+            assert np.abs(result.t_matrix - t_matrix).max() < 1e-15
+            assert abs(result.total_probability - total) < 1e-15
+
 
 
 # Both oracles are exact only for one fluctuator without white noise.
@@ -130,6 +184,19 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "sys, bad",
+        [
+            pytest.param(make_system(), np.nan, id="nan"),
+            # Frozen in the - level (eta = gamma), the unchecked sampler returns
+            # NaN rows at t = inf instead of spinning, so this cannot hang.
+            pytest.param(make_system(g=0.3, theta=0.6, gamma=0.1, eta=0.1), np.inf, id="inf"),
+        ],
+    )
+    def test_non_finite_times_rejected(self, sys, bad):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            sample_trajectories(sys, X_AXIS, [1.0, bad], n_samples=10, seed=0)
+
     def test_noise_free_sampling_is_deterministic(self):
         sys = make_system(g=0.0, gamma=0.2)
         times = np.array([1.0, 3.0])
