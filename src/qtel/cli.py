@@ -15,7 +15,7 @@ first have the type its field is annotated with.  This module keeps
 only the rules of its own fields (required fields, grids, seed, workers);
 every physical value is checked by building what the run builds, so the
 range checks live once, in the library's spec dataclasses and
-``model._switching_probabilities``, and their messages are reported as
+``model._switch_matrix``, and their messages are reported as
 they are.
 """
 
@@ -38,12 +38,10 @@ import numpy as np
 
 from . import __version__
 from .dynamics import bang_bang_operator, echo_signal, free_trajectory, to_rotating_frame
-from .model import (FluctuatorSpec, SystemSpec, _single_fluctuator, _switching_probabilities,
-                    as_bloch_array)
+from .model import FluctuatorSpec, SystemSpec, _single_fluctuator, _switch_matrix, as_bloch_array
 from .oracle import MAX_ENUM_STEPS, enumerate_sequences, sample_trajectories
 from .rates import angle_sweep, extract_rates
 from .superop import (
-    boundary_projectors,
     decoherence_generator,
     discrete_transfer_operator,
     spectral_decomposition,
@@ -172,7 +170,7 @@ class ExperimentConfig:
             if not 1 <= self.n_steps <= MAX_ENUM_STEPS:
                 errors.append(f"n_steps: must be in [1, {MAX_ENUM_STEPS}]")
             for gamma, eta, _, _ in ENUM_VERIFY_GRID:
-                _check(errors, "dt", _switching_probabilities, gamma, eta, self.dt)
+                _check(errors, "dt", _switch_matrix, gamma, eta, self.dt)
         # Physical values: build what the run builds; a zero coupling stands in for a missing one.
         gvec = np.zeros(3) if self.g_vector is None and None in (self.g, self.theta) else None
         try:
@@ -433,7 +431,7 @@ def _run_enum_verify(cfg: ExperimentConfig) -> ResultTable:
         )
         enum = enumerate_sequences(sys, cfg.dt, cfg.n_steps)
         step = discrete_transfer_operator(sys, cfg.dt)
-        readout, prepare = boundary_projectors(sys)
+        readout, prepare = step.boundary
         powered = np.linalg.matrix_power(step.mat, cfg.n_steps)
         reference = _real_transfer(readout @ powered @ prepare)
         worst = max(worst, float(np.abs(enum.t_matrix - reference).max()))

@@ -16,6 +16,7 @@ pulsed rates and the transfer after any number of periods.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .superop import (
     EigendecompositionError,
     SpectralDecomposition,
     Superoperator,
-    boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
@@ -88,9 +88,9 @@ class BlochTrajectory:
 class PulseSequence:
     """Instantaneous rotation pulses at fixed times.
 
-    ``events`` is a sequence of ``(time, axis, angle)`` with times
-    non-decreasing and each axis a unit 3-vector; pulses have zero
-    temporal width.
+    ``events`` is a sequence of ``(time, axis, angle)`` with finite times
+    non-decreasing from 0, finite angles and each axis a unit 3-vector;
+    pulses have zero temporal width.
     """
 
     events: tuple[tuple[float, np.ndarray, float], ...]
@@ -99,8 +99,10 @@ class PulseSequence:
         norm_events = []
         last_t = -np.inf
         for time, axis, angle in self.events:
-            if time < 0:
-                raise ValueError("pulse times must be >= 0")
+            if not 0 <= time < np.inf:  # NaN fails this too
+                raise ValueError(f"pulse times must be finite and >= 0, got {time}")
+            if not np.isfinite(angle):
+                raise ValueError(f"pulse angles must be finite, got {angle}")
             if time < last_t:
                 raise ValueError("pulse events must be sorted by time")
             last_t = time
@@ -170,7 +172,8 @@ def bang_bang_operator(
     ``k = 0 .. n_pulses - 1``.  The period operator ``U = V diag(mu) V^-1`` is
     decomposed by the generator's routine, which flags it; a period flagged
     defective raises ``EigendecompositionError``.  With the boundary modes
-    ``readout @ V`` and coefficients ``V^-1 @ prepare``, the pulsed decay rates
+    ``readout @ V`` and coefficients ``V^-1 @ prepare``, from the maps
+    ``sd.operator.boundary`` that every ``tau`` shares, the pulsed decay rates
     follow from the eigenvalues ``mu`` and the weights ``|modes * coeffs.T|``,
     and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``.  The
     period is real: its imaginary roundoff is checked against ``IMAG_TOL`` and
@@ -178,8 +181,8 @@ def bang_bang_operator(
     """
     if not tau > 0:
         raise ValueError("tau must be > 0")
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
+    if isinstance(n_pulses, bool) or not isinstance(n_pulses, numbers.Integral) or n_pulses < 1:
+        raise ValueError(f"n_pulses must be an integer >= 1, got {n_pulses!r}")
     if axis not in _AXES:
         raise ValueError("axis must be 'x' or 'y'")
     if sd is None:
@@ -197,7 +200,7 @@ def bang_bang_operator(
     with np.errstate(divide="ignore"):
         candidate_rates = -np.log(np.abs(psd.eigenvalues)) / tau
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
-    readout, prepare = boundary_projectors(sys)
+    readout, prepare = sd.operator.boundary
     modes, coeffs = readout @ psd.right_vectors, psd.left_vectors @ prepare
     rates = channel_rates_from_modes(candidate_rates, np.abs(modes * coeffs.T))
     return BangBangResult(
@@ -243,8 +246,8 @@ def sequence_operator(
     to ``t_final``; pulses at equal times apply in listing order.  The
     periodic train and the spin echo are special cases of this product.
     """
-    if not t_final >= 0:
-        raise ValueError("t_final must be >= 0")
+    if not 0 <= t_final < np.inf:  # NaN fails this too
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if seq.events and seq.events[-1][0] > t_final:
         raise ValueError("pulse events must not occur after t_final")
     steps, cursor = [], 0.0

@@ -268,9 +268,12 @@ def stationary_distribution(f: FluctuatorSpec) -> FluctuatorDistribution:
     return FluctuatorDistribution.from_upper(p_plus)
 
 
-def _switching_probabilities(gamma: float, eta: float, dt: float) -> tuple[float, float]:
-    """Checked ``p = gamma*dt``, ``d = eta*dt``: one interval leaves + with
-    probability ``p + d`` and - with ``p - d``."""
+def _switch_matrix(gamma: float, eta: float, dt: float) -> np.ndarray:
+    """Switching probabilities of one interval, ``W[new, old]`` with levels (+, -).
+
+    With ``p = gamma*dt`` and ``d = eta*dt`` an interval leaves + with probability
+    ``p + d`` and - with ``p - d``; a ``dt`` for which these are not probabilities raises.
+    """
     if not dt > 0:
         raise ValueError("dt must be > 0")
     p = gamma * dt
@@ -279,7 +282,7 @@ def _switching_probabilities(gamma: float, eta: float, dt: float) -> tuple[float
         raise ValueError("dt too large for telegraph limit")
     if p + abs(d) > 1.0:
         raise ValueError("switching probabilities exceed 1; reduce dt")
-    return p, d
+    return np.array([[1.0 - p - d, p - d], [p + d, 1.0 - p + d]])
 
 
 def _single_fluctuator(sys: SystemSpec) -> FluctuatorSpec:
@@ -306,12 +309,12 @@ def boundary_vectors(
 
     Returns
     -------
-    (readout, prepare) : complex arrays of length ``2**N``.
+    (readout, prepare) : real (``float64``) arrays of length ``2**N``.
     """
     if len(distributions) < 1:
         raise ValueError("at least one distribution is required")
-    readout = np.ones(1, dtype=complex)
-    prepare = np.ones(1, dtype=complex)
+    readout = np.ones(1)
+    prepare = np.ones(1)
     for dist in distributions:
         levels = np.sqrt(2.0) * np.array([dist.p_plus, dist.p_minus])
         readout = np.multiply.outer(readout, np.array([1.0, 1.0]) / np.sqrt(2.0)).ravel()

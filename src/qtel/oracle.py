@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FluctuatorSpec, SystemSpec, _single_fluctuator, _switching_probabilities,
-                    as_bloch_array, stationary_distribution, step_rotation)
+from .model import (FluctuatorSpec, SystemSpec, _single_fluctuator, _switch_matrix, as_bloch_array,
+                    stationary_distribution, step_rotation)
 
 __all__ = [
     "SequenceEnsembleResult",
@@ -76,12 +76,6 @@ class SpectrumEstimate:
     values: np.ndarray
     s_zero: float
     hwhm: float
-
-
-def _switch_matrix(gamma: float, eta: float, dt: float) -> np.ndarray:
-    """Conditional switching probabilities W[new, old], states ordered (+, -)."""
-    p, d = _switching_probabilities(gamma, eta, dt)
-    return np.array([[1.0 - p - d, p - d], [p + d, 1.0 - p + d]])
 
 
 def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEnsembleResult:

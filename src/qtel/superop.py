@@ -22,13 +22,14 @@ first for each fluctuator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .model import (SystemSpec, _single_fluctuator, _switching_probabilities, boundary_vectors,
-                    so3_generators, step_rotation)
+from .model import (_EPS, SystemSpec, _single_fluctuator, _switch_matrix, boundary_vectors,
+                    step_rotation)
 
 __all__ = [
     "Superoperator",
@@ -59,10 +60,6 @@ RESIDUAL_TOL = 1e-10
 # matrix; larger values indicate an internal inconsistency.
 IMAG_TOL = 1e-10
 
-_TAU1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_TAU2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_TAU3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 class EigendecompositionError(RuntimeError):
     """Raised when the eigensolver fails or returns unusable pairs."""
@@ -78,9 +75,11 @@ class Superoperator:
 
     ``kind`` is either ``"discrete-step"`` (one-interval transfer) or
     ``"generator"`` (continuous-time).  The dtype follows the input: a real
-    matrix stays ``float64`` and a complex one ``complex128``.  The generator
-    and the bang-bang period operators are real, so LAPACK's real eigensolver
-    decomposes them; the discrete step operator is complex.
+    matrix stays ``float64`` and a complex one ``complex128``.  Every operator
+    the library builds (the discrete step, the generator, a bang-bang period)
+    is real, so LAPACK's real eigensolver decomposes them; only eigenvectors
+    are complex.  ``boundary`` holds the system's real readout and preparation
+    maps, built once per operator.
     """
 
     mat: np.ndarray
@@ -99,6 +98,14 @@ class Superoperator:
     @property
     def dimension(self) -> int:
         return self.mat.shape[0]
+
+    @functools.cached_property
+    def boundary(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ``boundary_projectors`` of ``system``: ``(readout, prepare)``."""
+        maps = boundary_projectors(self.system)
+        for m in maps:
+            m.setflags(write=False)
+        return maps
 
 
 @dataclass(frozen=True)
@@ -133,33 +140,24 @@ def fluctuator_dissipator(gamma: float, eta: float) -> np.ndarray:
     vector annihilates it from the left) and the stationary distribution
     spans its kernel.  Eigenvalues are {0, 2 * gamma}.
     """
-    return (
-        gamma * np.eye(2, dtype=complex)
-        - gamma * _TAU1
-        + 1j * eta * _TAU2
-        + eta * _TAU3
-    )
+    return np.array([[gamma + eta, eta - gamma], [-gamma - eta, gamma - eta]])
 
 
 def discrete_transfer_operator(sys: SystemSpec, dt: float) -> Superoperator:
     """One-interval ensemble transfer operator (single fluctuator).
 
-    The operator is the product of the switching-probability factor
-    ``(1 - p) I - d tau_3 + p tau_1 - i d tau_2`` (with ``p = gamma*dt``,
-    ``d = eta*dt``) acting on the fluctuator levels, and the
-    block-diagonal pair of Bloch rotations for the two noise levels.
+    The operator is the product of the switching matrix ``W[new, old]``
+    acting on the fluctuator levels and the block-diagonal pair of Bloch
+    rotations for the two noise levels: block ``(i, j)`` is ``W[i, j] rot_j``.
     Raising it to the N-th power and contracting with the boundary
     vectors averages an N-interval evolution over all 2**N level
     sequences with their exact probabilities.
     """
     f = _single_fluctuator(sys)
-    p, d = _switching_probabilities(f.gamma, f.eta, dt)
-
-    switch = (1.0 - p) * np.eye(2, dtype=complex) - d * _TAU3 + p * _TAU1 - 1j * d * _TAU2
-    rot_plus = step_rotation(sys.b0, f.g, +1, dt)
-    rot_minus = step_rotation(sys.b0, f.g, -1, dt)
-    blocks = np.kron(np.diag([1.0, 0.0]), rot_plus) + np.kron(np.diag([0.0, 1.0]), rot_minus)
-    mat = np.kron(switch, np.eye(3)) @ blocks.astype(complex)
+    w = _switch_matrix(f.gamma, f.eta, dt)
+    rot = np.stack([step_rotation(sys.b0, f.g, s, dt) for s in (+1, -1)])
+    # mat[3 i + a, 3 j + c] = W[i, j] rot[j][a, c]
+    mat = (w[:, None, :, None] * rot.transpose(1, 0, 2)).reshape(6, 6)
     return Superoperator(mat=mat, kind=KIND_STEP, system=sys)
 
 
@@ -173,9 +171,8 @@ def decoherence_generator(sys: SystemSpec) -> Superoperator:
     fluctuators enter additively (joint switches are higher order in dt
     and absent by construction).
 
-    Every term is real (``-i L_k`` is the real antisymmetric ``eps_k`` and the
-    dissipator's ``i eta tau_2`` is real), so the matrix is built as
-    ``float64`` and decomposed by the real eigensolver.
+    Every term is real (``-i L_k`` is the real antisymmetric ``eps_k``), so the
+    matrix is built as ``float64`` and decomposed by the real eigensolver.
 
     The matrix is sparse, with at most ``N + 3`` non-zeros per row: a 3x3
     block on the diagonal for each joint level ``s``, and the dissipator's
@@ -185,8 +182,7 @@ def decoherence_generator(sys: SystemSpec) -> Superoperator:
     its dissipator and its coupling), which it reproduces bit for bit.
     """
     n = sys.n_fluctuators
-    lx, ly, lz = so3_generators()
-    ex, ey, ez = lx.imag, ly.imag, lz.imag  # eps_k = -i L_k
+    ex, ey, ez = _EPS  # eps_k = -i L_k
     dim_f = 2**n
     states = np.arange(dim_f)
     mat = np.zeros((dim_f, 3, dim_f, 3))
@@ -194,15 +190,15 @@ def decoherence_generator(sys: SystemSpec) -> Superoperator:
     bloch = sys.b0 * ez
     if sys.white_noise is not None:
         vx, vy, vz = sys.white_noise
-        bloch = bloch + 0.5 * (vx * lx @ lx + vy * ly @ ly + vz * lz @ lz).real
+        bloch = bloch - 0.5 * (vx * ex @ ex + vy * ey @ ey + vz * ez @ ez)  # L_k**2 = -eps_k**2
     blocks = np.zeros((dim_f, 3, 3)) + bloch
 
     for i, f in enumerate(sys.fluctuators):
         g_dot_eps = f.g[0] * ex + f.g[1] * ey + f.g[2] * ez
-        diss = fluctuator_dissipator(f.gamma, f.eta).real
+        diss = fluctuator_dissipator(f.gamma, f.eta)
         level = (states >> (n - 1 - i)) & 1  # 0 for s_i = +1, 1 for s_i = -1
         blocks += diss[level, level][:, None, None] * np.eye(3)
-        blocks += _TAU3.real[level, level][:, None, None] * g_dot_eps
+        blocks += (1 - 2 * level)[:, None, None] * g_dot_eps
         partner = states ^ (1 << (n - 1 - i))
         mat[states, :, partner, :] += diss[level, 1 - level][:, None, None] * np.eye(3)
     mat[states, :, states, :] = blocks
@@ -262,14 +258,14 @@ def boundary_projectors(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     3x3 matrix acting on the physical Bloch vector.
     """
     readout, prepare = boundary_vectors(sys.distributions())
-    # readout (x) I_3 and prepare (x) I_3 by broadcasting: np.kron costs several times more.
+    # readout (x) I_3 and prepare (x) I_3 by broadcasting, several times cheaper than kron.
     lifted = (readout[None, :, None] * np.eye(3)[:, None, :]).reshape(3, -1)
     return lifted, (prepare[:, None, None] * np.eye(3)).reshape(-1, 3)
 
 
 def _mode_weights(sd: SpectralDecomposition) -> np.ndarray:
     """Weight ``|(readout v_k)_c (l_k prepare)_c|`` of mode k in channel c, shape (3, d)."""
-    readout, prepare = boundary_projectors(sd.operator.system)
+    readout, prepare = sd.operator.boundary
     return np.abs((readout @ sd.right_vectors) * (sd.left_vectors @ prepare).T)
 
 
@@ -316,11 +312,11 @@ def evolve_operator(
     if not t >= 0:  # NaN fails this too
         raise ValueError("t must be >= 0 and not NaN")
     if t == 0.0:
-        return np.eye(op.dimension, dtype=complex), np.eye(3)
+        return np.eye(op.dimension), np.eye(3)
     if sd is None:
         sd = spectral_decomposition(op)
     full = _exp_generator(sd, t)
-    readout, prepare = boundary_projectors(op.system)
+    readout, prepare = op.boundary
     return full, _real_transfer(readout @ full @ prepare)
 
 
@@ -347,14 +343,14 @@ def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
     ``steps`` lists in order of action ``("free", t)``, t a duration or a grid
     of T durations, and ``("pulse", R)``, R a 3x3 rotation of the Bloch index.
     """
-    readout, prepare = boundary_projectors(sd.operator.system)
+    readout, prepare = sd.operator.boundary
     d = sd.dimension
     spectral = not sd.defective
     # The spectral form runs the whole grid in one pass.  The expm fallback runs one grid
     # point per pass (none for an empty grid) and holds only that point's propagators,
     # so equal durations there, such as the two halves of an echo, share one expm.
     n_times = max([np.size(t) for kind, t in steps if kind == "free"], default=1)
-    passes = [np.empty((d, 0), dtype=complex)]
+    passes = [np.empty((d, 0))]
     for i in range(1 if spectral else n_times):
         # The block is d x (T * 3), so each factor is one matrix product.  A spectral
         # free step leaves it in eigen-coordinates with its d x T decay kept apart

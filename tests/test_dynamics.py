@@ -136,7 +136,7 @@ class TestBangBang:
             bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1)
 
     def test_boundary_maps_built_once(self, monkeypatch, strong_mixed_system):
-        # The rates and the transfer share one pair of boundary maps.
+        # The rates and the transfer of every tau in a sweep share the generator's boundary maps.
         sd = spectral_decomposition(decoherence_generator(strong_mixed_system))
         calls = []
 
@@ -146,7 +146,8 @@ class TestBangBang:
 
         monkeypatch.setattr(superop, "boundary_projectors", counting)
         monkeypatch.setattr(dynamics, "boundary_projectors", counting, raising=False)
-        bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1, sd=sd)
+        for tau in (0.4, 1.3, 2.9):
+            bang_bang_operator(strong_mixed_system, tau=tau, n_pulses=1, sd=sd)
         assert len(calls) == 1
 
     def test_invalid_arguments_rejected(self, strong_mixed_system):
@@ -158,6 +159,16 @@ class TestBangBang:
             bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=0)
         with pytest.raises(ValueError, match="axis"):
             bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=1, axis="z")
+
+    @pytest.mark.parametrize("n_pulses", [1.5, np.nan, True, 2.0])
+    def test_non_integer_pulse_count_rejected(self, strong_mixed_system, n_pulses):
+        with pytest.raises(ValueError, match="n_pulses"):
+            bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=n_pulses)
+
+    def test_numpy_integer_pulse_count_accepted(self, strong_mixed_system):
+        result = bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=np.int64(3))
+        expected = bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=3)
+        assert np.array_equal(result.transfer, expected.transfer)
 
 
 class TestEchoSignal:
@@ -246,6 +257,21 @@ class TestSequenceOperator:
         seq = PulseSequence(events=((1.0, X_AXIS, np.pi),))
         with pytest.raises(ValueError, match="t_final"):
             sequence_operator(strong_mixed_system, seq, np.nan)
+
+    def test_infinite_final_time_rejected(self, strong_mixed_system):
+        seq = PulseSequence(events=((1.0, X_AXIS, np.pi),))
+        with pytest.raises(ValueError, match="t_final"):
+            sequence_operator(strong_mixed_system, seq, np.inf)
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf])
+    def test_non_finite_pulse_time_rejected(self, time):
+        with pytest.raises(ValueError, match="pulse times"):
+            PulseSequence(events=((time, X_AXIS, np.pi),))
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pulse_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="pulse angles"):
+            PulseSequence(events=((1.0, X_AXIS, angle),))
 
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit"):

@@ -164,6 +164,11 @@ class TestBoundaryVectors:
         assert readout.shape == (4,) and prepare.shape == (4,)
         assert abs(readout @ prepare - 1.0) < 1e-15
 
+    def test_vectors_are_real(self):
+        dists = [FluctuatorDistribution.from_upper(0.25), FluctuatorDistribution.from_upper(0.6)]
+        readout, prepare = boundary_vectors(dists)
+        assert readout.dtype == np.float64 and prepare.dtype == np.float64
+
     def test_pairing_is_one_for_random_distributions(self, rng):
         for _ in range(100):
             dists = [

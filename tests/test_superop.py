@@ -19,6 +19,7 @@ from qtel import (
     step_rotation,
     transfer_from_spectral,
 )
+from qtel.model import _switch_matrix
 from qtel.superop import KIND_GENERATOR, Superoperator
 
 from conftest import make_system, mixed_fluctuator_system, two_fluctuator_system
@@ -64,6 +65,38 @@ class TestDiscreteOperator:
         gen = decoherence_generator(sys)
         residual = np.abs(step.mat - (np.eye(6) - dt * gen.mat)).max()
         assert residual < 1e-6
+
+    def test_step_is_real_part_of_kronecker_construction(self, rng):
+        # Bit for bit the real part of the complex Pauli/Kronecker build of the step, whose
+        # imaginary part is exactly zero.
+        tau1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        tau2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        tau3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        for _ in range(200):
+            gamma = rng.uniform(0.0, 1.0)
+            f = FluctuatorSpec(
+                g=rng.normal(size=3), gamma=gamma, eta=rng.uniform(-gamma, gamma),
+                initial_distribution=FluctuatorDistribution.from_upper(rng.uniform()),
+            )
+            sys = SystemSpec(b0=rng.uniform(0.0, 2.0), fluctuators=(f,))
+            dt = rng.uniform(0.01, 0.5)
+            p, d = f.gamma * dt, f.eta * dt
+            switch = (1.0 - p) * np.eye(2, dtype=complex) - d * tau3 + p * tau1 - 1j * d * tau2
+            blocks = np.kron(np.diag([1.0, 0.0]), step_rotation(sys.b0, f.g, +1, dt)) + np.kron(
+                np.diag([0.0, 1.0]), step_rotation(sys.b0, f.g, -1, dt)
+            )
+            old = np.kron(switch, np.eye(3)) @ blocks.astype(complex)
+            step = discrete_transfer_operator(sys, dt).mat
+            assert step.dtype == np.float64
+            assert np.array_equal(old.imag, np.zeros_like(step))
+            assert np.array_equal(step, old.real)
+
+    def test_switching_block_is_shared_switch_matrix(self):
+        # b0 = g = 0 leaves every rotation the identity: the step is W (x) I_3, with the
+        # switching matrix the enumeration oracle uses.
+        sys = make_system(b0=0.0, g=0.0, gamma=0.3, eta=-0.1)
+        step = discrete_transfer_operator(sys, 0.2)
+        assert np.array_equal(step.mat, np.kron(_switch_matrix(0.3, -0.1, 0.2), np.eye(3)))
 
     def test_large_dt_rejected(self):
         sys = make_system(gamma=0.5)
@@ -281,6 +314,18 @@ class TestSpectralDecomposition:
         for sys in (make_system(theta=0.0), make_system(theta=0.8, eta=0.1, gamma=0.1)):
             sd = spectral_decomposition(decoherence_generator(sys))
             assert np.abs(sd.eigenvalues).min() < 1e-10
+
+
+class TestBoundary:
+    def test_operator_boundary_is_real_cached_and_read_only(self):
+        sys = two_fluctuator_system()
+        gen = decoherence_generator(sys)
+        readout, prepare = gen.boundary
+        assert gen.boundary[0] is readout and gen.boundary[1] is prepare
+        assert readout.dtype == np.float64 and prepare.dtype == np.float64
+        assert not readout.flags.writeable and not prepare.flags.writeable
+        expected = boundary_projectors(sys)
+        assert np.array_equal(readout, expected[0]) and np.array_equal(prepare, expected[1])
 
 
 class TestEvolveOperator:
