@@ -11,7 +11,11 @@ inserted between free-evolution segments, composing three protocols:
 The echo and arbitrary schedules are sequences of free segments and pulses
 for the contraction engine in :mod:`qtel.superop`.  Bang-bang builds its
 ``d x d`` period operator instead: one decomposition of it gives both the
-pulsed rates and the transfer after any number of periods.
+pulsed rates and the transfer after any number of periods.  Given an array
+of pulse spacings, ``bang_bang_operator`` builds every period from the one
+generator decomposition and decomposes them as stacks, one eigensolve per
+stack; a single spacing is the one-member case.  Times and spacings must be
+finite.
 """
 
 from __future__ import annotations
@@ -22,17 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemSpec, as_bloch_array, rotation_matrix
-from .rates import ChannelRates, channel_rates_from_modes
+from .rates import ChannelRates, _select_rates
 from .superop import (
-    KIND_STEP,
     EigendecompositionError,
     SpectralDecomposition,
-    Superoperator,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
     _compose,
+    _decompose_stack,
     _exp_generator,
+    _member_blocks,
     _real_transfer,
 )
 
@@ -160,17 +164,17 @@ def to_rotating_frame(traj: BlochTrajectory, b0: float) -> BlochTrajectory:
 
 def bang_bang_operator(
     sys: SystemSpec,
-    tau: float,
+    tau: float | np.ndarray,
     n_pulses: int,
     axis: str = "y",
     sd: SpectralDecomposition | None = None,
-) -> BangBangResult:
+) -> BangBangResult | tuple[BangBangResult, ...]:
     """Periodic train of pi pulses separated by free evolution tau.
 
     One period is an instantaneous pi rotation about the chosen axis, then
     free evolution ``exp(-tau * generator)``: the pulses act at ``t = k tau``,
     ``k = 0 .. n_pulses - 1``.  The period operator ``U = V diag(mu) V^-1`` is
-    decomposed by the generator's routine, which flags it; a period flagged
+    decomposed with the gates of ``spectral_decomposition``; a period flagged
     defective raises ``EigendecompositionError``.  With the boundary modes
     ``readout @ V`` and coefficients ``V^-1 @ prepare``, from the maps
     ``sd.operator.boundary`` that every ``tau`` shares, the pulsed decay rates
@@ -178,40 +182,69 @@ def bang_bang_operator(
     and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``.  The
     period is real: its imaginary roundoff is checked against ``IMAG_TOL`` and
     dropped, so the real eigensolver runs.
+
+    ``tau`` may also be a 1-d array of spacings, which returns a tuple with
+    one result per spacing.  Their periods all come from the one generator
+    decomposition and are decomposed as stacks, one eigensolve per stack of
+    bounded size; a single spacing is the one-member case.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError("tau must be a number or a 1-d array of spacings")
+    flat = taus.ravel()
+    bad = flat[~((flat > 0) & (flat < np.inf))]  # NaN is bad too
+    if bad.size:
+        raise ValueError(f"tau must be finite and > 0, got {bad[0]}")
     if isinstance(n_pulses, bool) or not isinstance(n_pulses, numbers.Integral) or n_pulses < 1:
         raise ValueError(f"n_pulses must be an integer >= 1, got {n_pulses!r}")
     if axis not in _AXES:
         raise ValueError("axis must be 'x' or 'y'")
     if sd is None:
         sd = spectral_decomposition(decoherence_generator(sys))
+    results = []
+    for block in _member_blocks(flat.size, sd.dimension):
+        results += _bang_bang_stack(sd, flat[block], n_pulses, axis)
+    return results[0] if taus.ndim == 0 else tuple(results)
+
+
+def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
+                     axis: str) -> list[BangBangResult]:
+    """Bang-bang results of every spacing in ``taus``, decomposed as one stack.
+
+    All periods come from the one generator decomposition ``sd``,
+    ``V diag(e^{-lambda tau}) V^-1`` followed by ``I (x) R``.
+    """
     pulse = rotation_matrix(_AXES[axis], np.pi)
     # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
-    free = _real_transfer(_exp_generator(sd, tau))
-    period = (free.reshape(-1, 3) @ pulse).reshape(sd.dimension, -1)
-    psd = spectral_decomposition(Superoperator(mat=period, kind=KIND_STEP, system=sys))
-    if psd.defective:
+    free = _real_transfer(_exp_generator(sd, taus))
+    periods = (free.reshape(-1, 3) @ pulse).reshape(free.shape)
+    spectra = _decompose_stack(periods)
+    if spectra.defective.any():
+        b = int(np.argmax(spectra.defective))
         raise EigendecompositionError(
-            f"pulsed one-period operator is near-defective at tau={tau} "
-            f"(eigenvector condition {psd.condition:.2e})"
+            f"pulsed one-period operator is near-defective at tau={taus[b]} "
+            f"(eigenvector condition {spectra.condition[b]:.2e})"
         )
+    mu = spectra.eigenvalues
     with np.errstate(divide="ignore"):
-        candidate_rates = -np.log(np.abs(psd.eigenvalues)) / tau
+        candidate_rates = -np.log(np.abs(mu)) / taus[:, None]
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
     readout, prepare = sd.operator.boundary
-    modes, coeffs = readout @ psd.right_vectors, psd.left_vectors @ prepare
-    rates = channel_rates_from_modes(candidate_rates, np.abs(modes * coeffs.T))
-    return BangBangResult(
-        transfer=_real_transfer((modes * psd.eigenvalues**n_pulses) @ coeffs),
-        eigenvalues=psd.eigenvalues,
-        candidate_rates=candidate_rates,
-        rates=rates,
-        tau=tau,
-        n_pulses=n_pulses,
-        axis=axis,
-    )
+    modes, coeffs = readout @ spectra.right_vectors, spectra.left_vectors @ prepare
+    rates = _select_rates(candidate_rates, np.abs(modes * coeffs.transpose(0, 2, 1)))
+    transfer = _real_transfer((modes * (mu**n_pulses)[:, None, :]) @ coeffs)
+    return [
+        BangBangResult(
+            transfer=transfer[b],
+            eigenvalues=mu[b],
+            candidate_rates=candidate_rates[b],
+            rates=rates.member(b),
+            tau=float(tau),
+            n_pulses=n_pulses,
+            axis=axis,
+        )
+        for b, tau in enumerate(taus)
+    ]
 
 
 def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None) -> np.ndarray:
@@ -224,8 +257,8 @@ def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None
     pulses compose to a full turn and the signal is 1.
     """
     seg = 0.5 * np.asarray(t_grid, dtype=float)
-    if not np.all(seg >= 0):  # NaN fails this too
-        raise ValueError("echo times must be >= 0 and not NaN")
+    if not np.all((seg >= 0) & (seg < np.inf)):  # NaN fails this too
+        raise ValueError("echo times must be >= 0 and not NaN or infinite")
     half = rotation_matrix(_AXES["x"], np.pi / 2.0)
     flip = rotation_matrix(_AXES["x"], np.pi)
     if sd is None:

@@ -65,8 +65,10 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
 
     The axis need not be normalized; a zero axis gives the identity.
     The closed form keeps the result orthogonal to machine precision,
-    with no series truncation.
+    with no series truncation.  A NaN or infinite angle raises.
     """
+    if not np.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     axis = np.asarray(axis, dtype=float)
     norm = float(np.linalg.norm(axis))
     if norm == 0.0:
@@ -92,12 +94,12 @@ def step_rotation(b0: float, g, s: int, dt: float) -> np.ndarray:
     b0 : static field magnitude along z.
     g : noise coupling 3-vector.
     s : fluctuator state, +1 or -1.
-    dt : interval duration (> 0; dt == 0 returns the identity).
+    dt : interval duration (finite and >= 0; dt == 0 returns the identity).
     """
     if s not in (1, -1):
         raise ValueError(f"fluctuator state must be +1 or -1, got {s}")
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
+    if not 0 <= dt < np.inf:  # NaN fails this too
+        raise ValueError(f"dt must be finite and non-negative, got {dt}")
     g = _as_vector3(g, "g")
     axis = np.array([0.0, 0.0, float(b0)]) + s * g
     return rotation_matrix(axis, float(np.linalg.norm(axis)) * dt)

@@ -17,6 +17,7 @@ weak coupling and strongly violate at strong coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,13 @@ from .analysis import _local_maxima
 from .model import FluctuatorSpec, SystemSpec
 from .superop import (
     SpectralDecomposition,
+    boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
     transfer_from_spectral,
+    _decompose_stack,
+    _generator_stack,
+    _member_blocks,
     _mode_weights,
 )
 
@@ -115,46 +120,84 @@ def channel_rates_from_modes(mode_rates: np.ndarray, weights: np.ndarray) -> Cha
     direction, so the raw x and y selections can differ at tilted
     working points; a mismatch is flagged).  Ambiguity is flagged when
     the two heaviest eligible rate groups carry weights within a factor
-    of two of each other.
+    of two of each other.  It is the one-row case of the selection that
+    the sweeps run on a stack.
     """
+    return _select_rates(mode_rates[None], weights[None]).member(0)
 
-    def select(w: np.ndarray, name: str, flags: list[str]) -> float:
-        wmax = w.max() if w.size else 0.0
-        eligible = (w > WEIGHT_REL_THRESHOLD * wmax) & (mode_rates > ZERO_MODE_THRESHOLD)
-        if not np.any(eligible):
-            return 0.0
-        # Group eligible modes by rate; conjugate pairs share one group.
-        grp_rates: list[float] = []
-        grp_weights: list[float] = []
-        for r, wk in sorted(zip(mode_rates[eligible], w[eligible])):
-            if grp_rates and abs(r - grp_rates[-1]) < 1e-9:
-                grp_weights[-1] += wk
-            else:
-                grp_rates.append(float(r))
-                grp_weights.append(float(wk))
-        if len(grp_weights) >= 2:
-            top = sorted(grp_weights, reverse=True)
-            heavy = [grp_rates[i] for i in range(len(grp_weights)) if grp_weights[i] >= top[1]]
-            if top[1] > 0.5 * top[0] and abs(max(heavy) - min(heavy)) > 1e-9:
-                flags.append(f"{name}-rate-ambiguous")
-        return float(min(grp_rates))
 
-    flags: list[str] = []
-    rate_x = select(weights[0], "x", flags)
-    rate_y = select(weights[1], "y", flags)
-    rate_z = select(weights[2], "z", flags)
-    rate_xy = select(0.5 * (weights[0] + weights[1]), "xy", flags)
-    if abs(rate_x - rate_y) > XY_AGREEMENT_TOL:
-        flags.append("xy-rate-mismatch")
-    return ChannelRates(
-        rate_z=rate_z,
-        rate_xy=rate_xy,
-        rate_x=rate_x,
-        rate_y=rate_y,
-        mode_weights={name: weights[c].copy() for c, name in enumerate(_CHANNELS)},
-        method="spectral-weight",
-        flags=tuple(flags),
-    )
+class _RateStack(NamedTuple):
+    """Selected rates of a stack: ``rates[b]`` and ``ambiguous[b]`` per channel x, y, z, xy."""
+
+    rates: np.ndarray
+    ambiguous: np.ndarray
+    weights: np.ndarray
+
+    def member(self, b: int) -> ChannelRates:
+        rate_x, rate_y, rate_z, rate_xy = self.rates[b].tolist()
+        flags = [f"{name}-rate-ambiguous"
+                 for name, flag in zip(("x", "y", "z", "xy"), self.ambiguous[b].tolist()) if flag]
+        if abs(rate_x - rate_y) > XY_AGREEMENT_TOL:
+            flags.append("xy-rate-mismatch")
+        return ChannelRates(
+            rate_z=rate_z,
+            rate_xy=rate_xy,
+            rate_x=rate_x,
+            rate_y=rate_y,
+            mode_weights={name: self.weights[b, c].copy() for c, name in enumerate(_CHANNELS)},
+            method="spectral-weight",
+            flags=tuple(flags),
+        )
+
+
+# Two infinite rates differ by NaN: they are not near, and their spread is not above 1e-9.
+@np.errstate(invalid="ignore")
+def _select_rates(mode_rates: np.ndarray, weights: np.ndarray) -> _RateStack:
+    """The selection of ``channel_rates_from_modes`` for a stack of B members.
+
+    ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``.  Each channel's
+    eligible modes are sorted by ``(rate, weight)`` and grouped left to right: a
+    rate joins the open group when it lies within 1e-9 of that group's first
+    rate.  The group weights are summed left to right.
+    """
+    w = np.concatenate([weights, 0.5 * (weights[:, :1] + weights[:, 1:2])], axis=1)
+    n_rows, n_modes = 4 * len(w), w.shape[2]
+    w, r = w.reshape(n_rows, n_modes), np.repeat(mode_rates, 4, axis=0)
+    eligible = (w > WEIGHT_REL_THRESHOLD * w.max(axis=1, keepdims=True)) & (r > ZERO_MODE_THRESHOLD)
+    # Eligible modes first, each row in (rate, weight) order; ``take`` reads flat indices.
+    row = np.arange(n_rows)[:, None]
+    order = np.lexsort((w, r, ~eligible), axis=1) + n_modes * row
+    r, w, eligible = r.take(order), w.take(order), eligible.take(order)
+
+    # A mode far from its predecessor opens a group.  A mode near it joins the open
+    # group unless it is far from the group's first rate, which only a mode after
+    # another joined one can be; such modes are found left to right, one per row and
+    # pass, as each one moves the first rate after it.
+    starts = eligible.copy()
+    starts[:, 1:] &= ~(np.abs(r[:, 1:] - r[:, :-1]) < 1e-9)
+    joined = eligible & ~starts
+    while (joined[:, 1:] & joined[:, :-1]).any():
+        first = np.maximum.accumulate(np.where(starts, np.arange(n_modes), 0), axis=1)
+        late = joined & ~(np.abs(r - r.take(first + n_modes * row)) < 1e-9)
+        if not late.any():
+            break
+        rows = np.nonzero(late.any(axis=1))[0]
+        starts[rows, late[rows].argmax(axis=1)] = True
+        joined = eligible & ~starts
+
+    # Flat slot of each eligible mode's group, with one spare slot per row, so that even
+    # a one-mode row has two group weights.
+    slot = starts.cumsum(axis=1) - 1 + (n_modes + 1) * row
+    group_weight = np.bincount(slot[eligible], weights=w[eligible], minlength=n_rows * (n_modes + 1))
+    # Group weights are positive, so a second-heaviest weight above 0 means two groups.
+    second, heaviest = np.sort(group_weight.reshape(n_rows, n_modes + 1), axis=1)[:, -2:].T
+    heavy = starts & (group_weight.take(slot) >= second[:, None])  # at each group's first rate
+    heavy_rates = np.where(heavy, r, np.nan)
+    spread = np.fmax.reduce(heavy_rates, axis=1) - np.fmin.reduce(heavy_rates, axis=1)
+    ambiguous = (second > 0.5 * heaviest) & (spread > 1e-9)
+    rates = np.where(eligible[:, 0], r[:, 0], 0.0)
+    shape = weights.shape[0], 4
+    return _RateStack(rates.reshape(shape), ambiguous.reshape(shape), weights)
 
 
 def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
@@ -167,7 +210,8 @@ def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
     """
     if sd.defective:
         return _envelope_fit_rates(sd)
-    return channel_rates_from_modes(sd.eigenvalues.real, _mode_weights(sd))
+    weights = _mode_weights(sd.operator.boundary, sd.right_vectors, sd.left_vectors)
+    return channel_rates_from_modes(sd.eigenvalues.real, weights)
 
 
 def _fit_envelope_rate(times: np.ndarray, signal: np.ndarray) -> float:
@@ -343,17 +387,31 @@ def angle_sweep(
 
     ``theta`` is the angle between the noise coupling vector and the
     static field axis; the noise vector is ``g (sin theta, 0, cos theta)``.
+    The generators are built, decomposed and weighted as stacks, one
+    eigensolve per stack of bounded size, and every rate is selected at once;
+    the rates equal ``free_decay_rates`` point by point.  An angle whose
+    generator is flagged defective takes ``free_decay_rates`` on its own, so
+    its rates come from the envelope fit.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    rz = np.empty_like(theta_grid)
-    rxy = np.empty_like(theta_grid)
+    couplings = g * np.stack([np.sin(theta_grid), np.zeros_like(theta_grid),
+                              np.cos(theta_grid)], axis=-1)
+    # The angles share b0, gamma and eta, and so the boundary maps: one spec checks and
+    # carries them, and each angle puts its own coupling into the generator.
+    sys = SystemSpec(b0=b0, fluctuators=(FluctuatorSpec(g=np.zeros(3), gamma=gamma, eta=eta),))
+    boundary = boundary_projectors(sys)
+    rz, rxy = np.empty_like(theta_grid), np.empty_like(theta_grid)
+    for block in _member_blocks(len(theta_grid), sys.dimension):
+        spectra = _decompose_stack(_generator_stack(sys, couplings[block, None, :]))
+        weights = _mode_weights(boundary, spectra.right_vectors, spectra.left_vectors)
+        selected = _select_rates(spectra.eigenvalues.real, weights).rates
+        rz[block], rxy[block] = selected[:, 2], selected[:, 3]
+        for i in block.start + np.flatnonzero(spectra.defective):
+            member = FluctuatorSpec(g=couplings[i], gamma=gamma, eta=eta)
+            cr = free_decay_rates(SystemSpec(b0=b0, fluctuators=(member,)))
+            rz[i], rxy[i] = cr.rate_z, cr.rate_xy
     rstar = np.full_like(theta_grid, np.nan)
-    for i, th in enumerate(theta_grid):
-        gvec = g * np.array([np.sin(th), 0.0, np.cos(th)])
-        sys = SystemSpec(b0=b0, fluctuators=(FluctuatorSpec(g=gvec, gamma=gamma, eta=eta),))
-        cr = free_decay_rates(sys)
-        rz[i] = cr.rate_z
-        rxy[i] = cr.rate_xy
-        if eta == 0.0:
+    if eta == 0.0:
+        for i, th in enumerate(theta_grid):
             rstar[i] = perturbative_rates(b0, g, gamma, th).rate_2_star
     return SweepResult(theta=theta_grid, rate_z=rz, rate_xy=rxy, rate_2_star=rstar, eta=eta)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -173,6 +174,18 @@ def decoherence_generator(sys: SystemSpec) -> Superoperator:
 
     Every term is real (``-i L_k`` is the real antisymmetric ``eps_k``), so the
     matrix is built as ``float64`` and decomposed by the real eigensolver.
+    It is the one-member case of ``_generator_stack``.
+    """
+    couplings = np.array([[f.g for f in sys.fluctuators]])
+    return Superoperator(mat=_generator_stack(sys, couplings)[0], kind=KIND_GENERATOR, system=sys)
+
+
+def _generator_stack(sys: SystemSpec, couplings: np.ndarray) -> np.ndarray:
+    """Generator matrices of ``sys`` with its couplings replaced, shape ``(B, d, d)``.
+
+    ``couplings[b, i]`` is the coupling 3-vector of fluctuator i in member b and
+    must be finite; everything else (``b0``, white noise, each fluctuator's
+    switching) is taken from ``sys``, whose own couplings are not read.
 
     The matrix is sparse, with at most ``N + 3`` non-zeros per row: a 3x3
     block on the diagonal for each joint level ``s``, and the dissipator's
@@ -181,29 +194,115 @@ def decoherence_generator(sys: SystemSpec) -> Superoperator:
     the order of the Kronecker construction (Bloch term, then per fluctuator
     its dissipator and its coupling), which it reproduces bit for bit.
     """
+    if not np.isfinite(couplings).all():
+        raise ValueError("g must be finite")
     n = sys.n_fluctuators
     ex, ey, ez = _EPS  # eps_k = -i L_k
     dim_f = 2**n
     states = np.arange(dim_f)
-    mat = np.zeros((dim_f, 3, dim_f, 3))
+    mat = np.zeros((len(couplings), dim_f, 3, dim_f, 3))
 
     bloch = sys.b0 * ez
     if sys.white_noise is not None:
         vx, vy, vz = sys.white_noise
         bloch = bloch - 0.5 * (vx * ex @ ex + vy * ey @ ey + vz * ez @ ez)  # L_k**2 = -eps_k**2
-    blocks = np.zeros((dim_f, 3, 3)) + bloch
+    blocks = np.zeros((dim_f, len(couplings), 3, 3)) + bloch
+    g = couplings[..., None, None]
+    g_dot_eps = g[:, :, 0] * ex + g[:, :, 1] * ey + g[:, :, 2] * ez  # (member, fluctuator, 3, 3)
 
+    # mat[:, s, :, s', :] is indexed (level, member, 3, 3): the level axis comes first.
     for i, f in enumerate(sys.fluctuators):
-        g_dot_eps = f.g[0] * ex + f.g[1] * ey + f.g[2] * ez
         diss = fluctuator_dissipator(f.gamma, f.eta)
         level = (states >> (n - 1 - i)) & 1  # 0 for s_i = +1, 1 for s_i = -1
-        blocks += diss[level, level][:, None, None] * np.eye(3)
-        blocks += (1 - 2 * level)[:, None, None] * g_dot_eps
+        blocks += diss[level, level][:, None, None, None] * np.eye(3)
+        blocks += (1 - 2 * level)[:, None, None, None] * g_dot_eps[:, i]
         partner = states ^ (1 << (n - 1 - i))
-        mat[states, :, partner, :] += diss[level, 1 - level][:, None, None] * np.eye(3)
-    mat[states, :, states, :] = blocks
+        mat[:, states, :, partner, :] += diss[level, 1 - level][:, None, None, None] * np.eye(3)
+    mat[:, states, :, states, :] = blocks
+    return mat.reshape(len(couplings), 3 * dim_f, 3 * dim_f)
 
-    return Superoperator(mat=mat.reshape(3 * dim_f, 3 * dim_f), kind=KIND_GENERATOR, system=sys)
+
+class _Spectra(NamedTuple):
+    """Per-member fields of ``SpectralDecomposition`` for a stack of operators.
+
+    ``left_vectors[b]`` is NaN where member b's inversion failed
+    (``condition[b] = inf``).
+    """
+
+    eigenvalues: np.ndarray
+    right_vectors: np.ndarray
+    left_vectors: np.ndarray
+    condition: np.ndarray
+    defective: np.ndarray
+    max_residual: np.ndarray
+
+    def member(self, b: int, op: Superoperator) -> SpectralDecomposition:
+        """Member b as the decomposition of ``op``; no left vectors if its inversion failed."""
+        condition = float(self.condition[b])
+        return SpectralDecomposition(
+            eigenvalues=self.eigenvalues[b],
+            right_vectors=self.right_vectors[b],
+            left_vectors=self.left_vectors[b] if np.isfinite(condition) else None,
+            condition=condition,
+            defective=bool(self.defective[b]),
+            max_residual=float(self.max_residual[b]),
+            operator=op,
+        )
+
+
+def _decompose_stack(mats: np.ndarray) -> _Spectra:
+    """Decompose a ``(B, d, d)`` stack with one eigensolve and one inversion.
+
+    Each member passes the gates of ``spectral_decomposition`` on its own: an
+    eigenpair residual above ``RESIDUAL_TOL`` raises and names the member, and a
+    Frobenius ``condition`` that is infinite or above ``DEFECTIVE_CONDITION`` flags
+    that member defective.  When the stacked inversion fails, the members are
+    inverted one by one, so only a singular member gets ``condition = inf``.
+    """
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("operator entries must be finite")
+    try:
+        eigenvalues, right = np.linalg.eig(mats)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigendecompositionError(f"eigensolver failed to converge: {exc}") from exc
+    # A real stack whose eigenvalues are all real comes back real.
+    eigenvalues, right = eigenvalues.astype(complex, copy=False), right.astype(complex, copy=False)
+
+    scale = np.maximum(np.linalg.norm(mats, axis=-2).max(axis=-1), np.abs(eigenvalues).max(axis=-1))
+    residuals = np.linalg.norm(mats @ right - right * eigenvalues[:, None, :], axis=-2).max(axis=-1)
+    max_residual = residuals / np.where(scale > 0, scale, 1.0)
+    failed = np.flatnonzero(max_residual > RESIDUAL_TOL)
+    if failed.size:
+        b = failed[0]
+        raise EigendecompositionError(
+            f"eigenpair residual {max_residual[b]:.3e} exceeds {RESIDUAL_TOL:.1e} "
+            f"(member {b} of {len(mats)})"
+        )
+
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        left = np.full_like(right, np.nan)
+        for b, vectors in enumerate(right):
+            try:
+                left[b] = np.linalg.inv(vectors)
+            except np.linalg.LinAlgError:
+                pass
+    condition = np.linalg.norm(right, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
+    condition[np.isnan(condition)] = np.inf
+    defective = ~np.isfinite(condition) | (condition > DEFECTIVE_CONDITION)
+    return _Spectra(eigenvalues, right, left, condition, defective, max_residual)
+
+
+def _member_blocks(n_members: int, dim: int) -> list[slice]:
+    """Slices that cut a sweep of ``n_members`` ``dim x dim`` operators into stacks.
+
+    A stack holds at most ``2**16`` matrix entries and one member at least, so a
+    sweep's working arrays stay bounded whatever its length: 1820 members at
+    d = 6, one member from d = 256.
+    """
+    step = max(1, 2**16 // dim**2)
+    return [slice(k, k + step) for k in range(0, n_members, step)]
 
 
 def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
@@ -217,37 +316,11 @@ def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
     Frobenius ``condition`` above ``DEFECTIVE_CONDITION`` or a failed
     inversion (``condition = inf``) sets the ``defective`` flag.  A real
     operator (the generator, a bang-bang period) runs LAPACK's real
-    eigensolver; its complex eigenpairs come in conjugate pairs.
+    eigensolver; its complex eigenpairs come in conjugate pairs.  It is the
+    one-member case of the stacked decomposition that the rates and bang-bang
+    sweeps run, so every gate is applied in one place.
     """
-    try:
-        eigenvalues, right = scipy.linalg.eig(op.mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigendecompositionError(f"eigensolver failed to converge: {exc}") from exc
-
-    scale = max(float(np.linalg.norm(op.mat, axis=0).max()), float(np.abs(eigenvalues).max()))
-    residuals = np.linalg.norm(op.mat @ right - right * eigenvalues, axis=0)
-    max_residual = float(residuals.max() / scale) if scale > 0 else float(residuals.max())
-    if max_residual > RESIDUAL_TOL:
-        raise EigendecompositionError(
-            f"eigenpair residual {max_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
-
-    try:
-        left = np.linalg.inv(right)
-        condition = float(np.linalg.norm(right) * np.linalg.norm(left))
-    except np.linalg.LinAlgError:
-        left, condition = None, np.inf
-    defective = not np.isfinite(condition) or condition > DEFECTIVE_CONDITION
-
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        right_vectors=right,
-        left_vectors=left,
-        condition=condition,
-        defective=defective,
-        max_residual=max_residual,
-        operator=op,
-    )
+    return _decompose_stack(op.mat[None]).member(0, op)
 
 
 def boundary_projectors(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -263,17 +336,26 @@ def boundary_projectors(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return lifted, (prepare[:, None, None] * np.eye(3)).reshape(-1, 3)
 
 
-def _mode_weights(sd: SpectralDecomposition) -> np.ndarray:
-    """Weight ``|(readout v_k)_c (l_k prepare)_c|`` of mode k in channel c, shape (3, d)."""
-    readout, prepare = sd.operator.boundary
-    return np.abs((readout @ sd.right_vectors) * (sd.left_vectors @ prepare).T)
+def _mode_weights(boundary, right_vectors: np.ndarray, left_vectors: np.ndarray) -> np.ndarray:
+    """Weight ``|(readout v_k)_c (l_k prepare)_c|`` of mode k in channel c, shape (..., 3, d).
+
+    ``boundary`` is ``(readout, prepare)``; the vectors are one decomposition's or a stack's.
+    """
+    readout, prepare = boundary
+    return np.abs((readout @ right_vectors) * np.swapaxes(left_vectors @ prepare, -1, -2))
 
 
-def _exp_generator(sd: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(-t * generator) via the spectral decomposition or expm fallback."""
+def _exp_generator(sd: SpectralDecomposition, t) -> np.ndarray:
+    """exp(-t * generator) via the spectral decomposition or expm fallback.
+
+    A scalar ``t`` gives one ``d x d`` propagator, an array of times the stack
+    ``t.shape + (d, d)``.
+    """
     if not sd.defective:
-        return (sd.right_vectors * np.exp(-sd.eigenvalues * t)) @ sd.left_vectors
-    return scipy.linalg.expm(-t * sd.operator.mat)
+        decay = np.exp(-sd.eigenvalues * np.expand_dims(t, -1))
+        return (sd.right_vectors * decay[..., None, :]) @ sd.left_vectors
+    full = [scipy.linalg.expm(-s * sd.operator.mat) for s in np.ravel(t)]
+    return np.reshape(full, np.shape(t) + sd.operator.mat.shape)
 
 
 def _real_transfer(transfer: np.ndarray) -> np.ndarray:
@@ -297,7 +379,7 @@ def evolve_operator(
     Parameters
     ----------
     op : generator-kind superoperator.
-    t : evolution time, >= 0.
+    t : evolution time, finite and >= 0.
     sd : optional precomputed spectral decomposition of `op`, reused
         across a time grid.
 
@@ -309,8 +391,8 @@ def evolve_operator(
     """
     if op.kind != KIND_GENERATOR:
         raise ValueError("evolve_operator requires a generator-kind superoperator")
-    if not t >= 0:  # NaN fails this too
-        raise ValueError("t must be >= 0 and not NaN")
+    if not 0 <= t < np.inf:  # NaN fails this too
+        raise ValueError(f"t must be >= 0 and not NaN or infinite, got {t}")
     if t == 0.0:
         return np.eye(op.dimension), np.eye(3)
     if sd is None:
@@ -330,8 +412,8 @@ def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
     if sd.operator.kind != KIND_GENERATOR:
         raise ValueError("transfer_from_spectral requires a generator-kind superoperator")
     times = np.asarray(times, dtype=float)
-    if not np.all(times >= 0):  # NaN fails this too
-        raise ValueError("times must be >= 0 and not NaN")
+    if not np.all((times >= 0) & (times < np.inf)):  # NaN fails this too
+        raise ValueError("times must be >= 0 and not NaN or infinite")
     out = _compose(sd, [("free", times)]).copy()
     out[times == 0.0] = np.eye(3)
     return out

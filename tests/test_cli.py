@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qtel import cli
+from qtel import cli, dynamics
 from qtel.cli import ConfigError, ExperimentConfig, presets, run, main
 from qtel.superop import ContractionError, discrete_transfer_operator
 
@@ -196,6 +196,18 @@ class TestRun:
         second = run(again, tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()
 
+    def test_bang_bang_sweep_is_one_public_call(self, tmp_path, monkeypatch):
+        # The whole sweep goes through the public function, once, with every spacing.
+        calls = []
+
+        def counting(sys, tau, *args, **kwargs):
+            calls.append(np.shape(tau))
+            return dynamics.bang_bang_operator(sys, tau, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "bang_bang_operator", counting)
+        run(ExperimentConfig.from_dict(presets()["fig4a"] | SHRUNK["fig4a"]), tmp_path)
+        assert calls == [(4,)]
+
     def test_mc_verify_reproducible_and_close(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {
@@ -232,6 +244,16 @@ class TestRun:
         )
         parsed = np.loadtxt(csv_path, delimiter=",", skiprows=2)
         assert np.array_equal(parsed[:, 1:], traj.points)
+
+    def test_csv_rows_match_per_value_format(self, rng):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0, 1e16, -1e16 / 3, 0.1]
+        values = np.concatenate([special, rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
+                                 rng.random(30)]).reshape(-1, 4)
+        cfg = ExperimentConfig.from_dict(presets()["fig2"])
+        table = cli.ResultTable(name="t", columns=("a", "b", "c", "d"), units=("1",) * 4,
+                                rows=values, config=cfg)
+        lines = ["a,b,c,d", "1,1,1,1"] + [",".join(f"{v:.17g}" for v in row) for row in values]
+        assert table.csv_text() == "\n".join(lines) + "\n"
 
     def test_enum_verify_rejects_complex_reference(self, tmp_path, monkeypatch):
         # The powered step is contracted through the same imaginary-part check as the engine.

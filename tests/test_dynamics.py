@@ -7,6 +7,7 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from qtel import (
+    BangBangResult,
     BlochTrajectory,
     EigendecompositionError,
     FluctuatorSpec,
@@ -88,6 +89,15 @@ class TestRotatingFrame:
         assert sign_changes >= 2
 
 
+def assert_same_bang_bang(a, b):
+    """Two bang-bang results equal bit for bit, rates and flags included."""
+    for field in ("transfer", "eigenvalues", "candidate_rates"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert (a.tau, a.n_pulses, a.axis) == (b.tau, b.n_pulses, b.axis)
+    assert (a.rates.rate_x, a.rates.rate_y, a.rates.rate_z, a.rates.rate_xy, a.rates.flags) == (
+        b.rates.rate_x, b.rates.rate_y, b.rates.rate_z, b.rates.rate_xy, b.rates.flags)
+
+
 class TestBangBang:
     def test_noise_free_pulses_cause_no_decay(self):
         sys = make_system(g=0.0, gamma=0.3)
@@ -159,6 +169,64 @@ class TestBangBang:
             bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=0)
         with pytest.raises(ValueError, match="axis"):
             bang_bang_operator(strong_mixed_system, tau=1.0, n_pulses=1, axis="z")
+
+    def test_infinite_tau_rejected(self, strong_mixed_system):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            bang_bang_operator(strong_mixed_system, tau=np.inf, n_pulses=1)
+
+    @pytest.mark.parametrize("sys", [make_system(g=3.0, theta=np.pi / 4, gamma=0.1),
+                                     two_fluctuator_system()], ids=["one", "two"])
+    def test_stacked_sweep_equals_pointwise_operators(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        taus = np.linspace(0.05, 4.0, 40)
+        sweep = bang_bang_operator(sys, taus, 3, axis="y", sd=sd)
+        assert isinstance(sweep, tuple) and len(sweep) == len(taus)
+        for member, tau in zip(sweep, taus):
+            single = bang_bang_operator(sys, float(tau), 3, axis="y", sd=sd)
+            assert_same_bang_bang(member, single)
+
+    def test_sweep_split_into_stacks_equals_one_stack(self, monkeypatch):
+        sys = two_fluctuator_system()
+        sd = spectral_decomposition(decoherence_generator(sys))
+        taus = np.geomspace(0.05, 40.0, 11)
+        whole = bang_bang_operator(sys, taus, 2, axis="x", sd=sd)
+        calls = []
+
+        def blocks_of_three(n_members, dim):
+            calls.append((n_members, dim))
+            return [slice(k, k + 3) for k in range(0, n_members, 3)]
+
+        monkeypatch.setattr(dynamics, "_member_blocks", blocks_of_three)
+        split = bang_bang_operator(sys, taus, 2, axis="x", sd=sd)
+        assert calls == [(11, 12)]
+        for a, b in zip(whole, split, strict=True):
+            assert_same_bang_bang(a, b)
+
+    def test_spacing_shapes(self, strong_mixed_system):
+        sd = spectral_decomposition(decoherence_generator(strong_mixed_system))
+        single = bang_bang_operator(strong_mixed_system, 1.3, 2, sd=sd)
+        assert isinstance(single, BangBangResult) and single.tau == 1.3
+        assert_same_bang_bang(bang_bang_operator(strong_mixed_system, np.float64(1.3), 2, sd=sd),
+                              single)
+        (one,) = bang_bang_operator(strong_mixed_system, [1.3], 2, sd=sd)
+        assert_same_bang_bang(one, single)
+        assert bang_bang_operator(strong_mixed_system, np.array([]), 2, sd=sd) == ()
+        with pytest.raises(ValueError, match="1-d array"):
+            bang_bang_operator(strong_mixed_system, [[1.3]], 2, sd=sd)
+        with pytest.raises(ValueError, match="tau must be finite and > 0, got -1.0"):
+            bang_bang_operator(strong_mixed_system, [1.3, -1.0], 2, sd=sd)
+
+    def test_defective_period_in_a_sweep_names_its_tau(self, monkeypatch):
+        sys = two_fluctuator_system()
+        sd = spectral_decomposition(decoherence_generator(sys))
+        taus = np.array([1.3, 0.4, 2.9])  # the period at 0.4 has the largest condition
+        lift = np.kron(np.eye(4), rotation_matrix(Y_AXIS, np.pi))
+        periods = [scipy.linalg.expm(-tau * sd.operator.mat) @ lift for tau in taus]
+        conditions = superop._decompose_stack(np.stack(periods)).condition
+        assert np.argmax(conditions) == 1
+        monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", np.sort(conditions)[-2:].mean())
+        with pytest.raises(EigendecompositionError, match="tau=0.4 "):
+            bang_bang_operator(sys, taus, 1, "y", sd)
 
     @pytest.mark.parametrize("n_pulses", [1.5, np.nan, True, 2.0])
     def test_non_integer_pulse_count_rejected(self, strong_mixed_system, n_pulses):

@@ -87,6 +87,17 @@ class TestStepRotation:
         with pytest.raises(ValueError, match="state"):
             step_rotation(1.0, [0, 0, 0], 2, 0.1)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_interval(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and non-negative"):
+            step_rotation(1.0, [0.1, 0.0, 0.0], 1, dt)
+
+    @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_rotation_rejects_non_finite_angle(self, axis, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            rotation_matrix(axis, angle)
+
 
 class TestFluctuatorStatistics:
     def test_symmetric_switching(self):

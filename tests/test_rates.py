@@ -16,7 +16,8 @@ from qtel import (
     telegraph_spectrum,
     transverse_eigenvalues,
 )
-from qtel.rates import channel_rates_from_modes
+from qtel import rates, superop
+from qtel.rates import _select_rates, channel_rates_from_modes
 
 from conftest import make_system
 
@@ -143,6 +144,88 @@ class TestModeSelection:
         weights = np.array([[0.5, 0.5, 0.01], [0.5, 0.5, 0.01], [0.0, 0.0, 1.0]])
         rates = channel_rates_from_modes(mode_rates, weights)
         assert rates.flags == ()
+
+
+def reference_channel_rates(mode_rates, weights):
+    """Per-channel selection, one channel at a time, as a plain Python reference.
+
+    Returns the rates (x, y, z, xy) and the flags of ``channel_rates_from_modes``.
+    """
+
+    @np.errstate(invalid="ignore")  # inf - inf
+    def select(w, name, flags):
+        wmax = w.max() if w.size else 0.0
+        eligible = (w > 1e-2 * wmax) & (mode_rates > 1e-12)
+        if not np.any(eligible):
+            return 0.0
+        grp_rates, grp_weights = [], []
+        for r, wk in sorted(zip(mode_rates[eligible], w[eligible])):
+            if grp_rates and abs(r - grp_rates[-1]) < 1e-9:  # the group's first rate
+                grp_weights[-1] += wk
+            else:
+                grp_rates.append(float(r))
+                grp_weights.append(float(wk))
+        if len(grp_weights) >= 2:
+            top = sorted(grp_weights, reverse=True)
+            heavy = [grp_rates[i] for i in range(len(grp_weights)) if grp_weights[i] >= top[1]]
+            if top[1] > 0.5 * top[0] and abs(max(heavy) - min(heavy)) > 1e-9:
+                flags.append(f"{name}-rate-ambiguous")
+        return float(min(grp_rates))
+
+    flags = []
+    rates = [select(weights[0], "x", flags), select(weights[1], "y", flags),
+             select(weights[2], "z", flags), select(0.5 * (weights[0] + weights[1]), "xy", flags)]
+    if abs(rates[0] - rates[1]) > 1e-9:
+        flags.append("xy-rate-mismatch")
+    return rates, tuple(flags)
+
+
+def selection_cases(rng, n_cases=400, d=8):
+    """Seeded rate and weight stacks with clusters, ties, zero modes and infinite rates."""
+    rates = np.empty((n_cases, d))
+    for b in range(n_cases):
+        base = rng.choice([0.1, 0.2, 0.35], size=d)
+        # Clusters 0.6e-9 apart: 0, 0.6e-9 and 1.2e-9 from a base rate.
+        base += 0.6e-9 * rng.integers(0, 4, size=d) * (rng.random() < 0.7)
+        base[rng.random(d) < 0.1] = 0.0
+        base[rng.random(d) < 0.05] = np.inf
+        rates[b] = base
+    weights = rng.choice([0.0, 1e-4, 0.2, 0.25, 0.5, 1.0], size=(n_cases, 3, d))
+    weights *= np.where(rng.random((n_cases, 3, d)) < 0.5, 1.0, rng.random((n_cases, 3, d)))
+    return rates, weights
+
+
+class TestStackedSelection:
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_matches_scalar_reference(self, rng, d):
+        rates, weights = selection_cases(rng, d=d)
+        stack = _select_rates(rates, weights)
+        n_flagged = 0
+        for b in range(len(rates)):
+            want_rates, want_flags = reference_channel_rates(rates[b], weights[b])
+            got = stack.member(b)
+            assert [got.rate_x, got.rate_y, got.rate_z, got.rate_xy] == want_rates
+            assert got.flags == want_flags
+            n_flagged += any(f.endswith("ambiguous") for f in want_flags)
+        assert (0 if d == 1 else 1) <= n_flagged < len(rates)
+
+    def test_groups_join_the_first_rate_not_the_previous(self):
+        # 0.1 + 1.2e-9 is within 1e-9 of its predecessor but not of the group's first rate,
+        # so it opens a second group of comparable weight: the x channel is ambiguous.
+        mode_rates = np.array([0.1, 0.1 + 0.6e-9, 0.1 + 1.2e-9])
+        weights = np.array([[0.3, 0.3, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        got = channel_rates_from_modes(mode_rates, weights)
+        assert "x-rate-ambiguous" in got.flags
+        assert got.flags == reference_channel_rates(mode_rates, weights)[1]
+
+    def test_channel_rates_are_the_one_row_case(self, rng):
+        rates, weights = selection_cases(rng, n_cases=20)
+        stack = _select_rates(rates, weights)
+        for b in range(len(rates)):
+            one = channel_rates_from_modes(rates[b], weights[b])
+            assert one == dataclasses.replace(stack.member(b), mode_weights=one.mode_weights)
+            for name, w in one.mode_weights.items():
+                assert np.array_equal(w, stack.member(b).mode_weights[name])
 
 
 class TestLongitudinalClosedForm:
@@ -294,3 +377,63 @@ class TestAngleSweep:
         assert np.all(biased.rate_xy <= balanced.rate_xy + 1e-12)
         assert np.all(biased.rate_z <= balanced.rate_z + 1e-12)
         assert np.all(np.isnan(biased.rate_2_star))
+
+    @pytest.mark.parametrize("b0,g,gamma,eta", [(1.0, 0.1, 0.5, 0.0), (1.0, 0.1, 0.5, 0.1),
+                                                 (1.0, 0.3, 0.1, 0.0), (1.0, 0.3, 0.1, 0.05)])
+    def test_equals_pointwise_rates(self, b0, g, gamma, eta):
+        thetas = np.linspace(0.0, np.pi / 2, 61)
+        sweep = angle_sweep(b0, g, gamma, eta, thetas)
+        for i, th in enumerate(thetas):
+            rates = free_decay_rates(make_system(b0=b0, g=g, theta=th, gamma=gamma, eta=eta))
+            assert sweep.rate_z[i] == rates.rate_z
+            assert sweep.rate_xy[i] == rates.rate_xy
+
+    def test_empty_grid_gives_empty_result(self):
+        sweep = angle_sweep(1.0, 0.3, 0.1, 0.0, [])
+        assert sweep.rate_z.shape == sweep.rate_xy.shape == sweep.rate_2_star.shape == (0,)
+
+    def test_sweep_split_into_stacks_equals_one_stack(self, monkeypatch):
+        thetas = np.linspace(0.0, np.pi / 2, 61)
+        whole = angle_sweep(1.0, 0.3, 0.1, 0.0, thetas)
+        monkeypatch.setattr(rates, "_member_blocks",
+                            lambda n, dim: [slice(k, k + 4) for k in range(0, n, 4)])
+        split = angle_sweep(1.0, 0.3, 0.1, 0.0, thetas)
+        assert np.array_equal(whole.rate_z, split.rate_z)
+        assert np.array_equal(whole.rate_xy, split.rate_xy)
+
+    def test_defective_member_in_a_later_stack(self, monkeypatch):
+        thetas = np.array([1.3, 0.8, 0.3])
+        systems = [make_system(g=0.1, theta=th, gamma=0.5) for th in thetas]
+        conditions = [spectral_decomposition(decoherence_generator(s)).condition for s in systems]
+        assert np.argmax(conditions) == 2
+        monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", np.sort(conditions)[-2:].mean())
+        monkeypatch.setattr(rates, "_member_blocks",
+                            lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        sweep = angle_sweep(1.0, 0.1, 0.5, 0.0, thetas)
+        singles = [free_decay_rates(s) for s in systems]
+        assert [cr.method for cr in singles] == ["spectral-weight"] * 2 + ["envelope-fit"]
+        for i, cr in enumerate(singles):
+            assert (sweep.rate_z[i], sweep.rate_xy[i]) == (cr.rate_z, cr.rate_xy)
+
+    def test_defective_member_takes_envelope_fit_alone(self, monkeypatch):
+        thetas = np.array([0.3, 0.8, 1.3])
+        systems = [make_system(g=0.1, theta=th, gamma=0.5) for th in thetas]
+        singles = [spectral_decomposition(decoherence_generator(s)) for s in systems]
+        worst = int(np.argmax([sd.condition for sd in singles]))
+        spectral = [extract_rates(sd) for sd in singles]
+        fitted = []
+
+        def fake_fit(sd):
+            fitted.append(sd)
+            return dataclasses.replace(spectral[worst], rate_z=7.0, rate_xy=8.0)
+
+        monkeypatch.setattr(rates, "_envelope_fit_rates", fake_fit)
+        monkeypatch.setattr(superop, "DEFECTIVE_CONDITION",
+                            np.sort([sd.condition for sd in singles])[-2:].mean())
+        sweep = angle_sweep(1.0, 0.1, 0.5, 0.0, thetas)
+        assert len(fitted) == 1 and fitted[0].defective
+        assert np.array_equal(fitted[0].eigenvalues, singles[worst].eigenvalues)
+        assert np.array_equal(fitted[0].operator.mat, singles[worst].operator.mat)
+        for i in range(len(thetas)):
+            want = (7.0, 8.0) if i == worst else (spectral[i].rate_z, spectral[i].rate_xy)
+            assert (sweep.rate_z[i], sweep.rate_xy[i]) == want

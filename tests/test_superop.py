@@ -19,8 +19,10 @@ from qtel import (
     step_rotation,
     transfer_from_spectral,
 )
+from qtel import superop
 from qtel.model import _switch_matrix
-from qtel.superop import KIND_GENERATOR, Superoperator
+from qtel.superop import (KIND_GENERATOR, EigendecompositionError, Superoperator, _decompose_stack,
+                          _generator_stack, _member_blocks)
 
 from conftest import make_system, mixed_fluctuator_system, two_fluctuator_system
 
@@ -245,6 +247,21 @@ class TestGenerator:
         assert np.array_equal(mat.imag, np.zeros_like(gen))
         assert np.array_equal(gen, mat.real)
 
+    def test_stacked_couplings_match_one_generator_each(self, rng):
+        # Each member of a coupling stack is the generator of its own system, bit for bit.
+        base = mixed_fluctuator_system(2, white_noise=[0.03, 0.01, 0.02])
+        couplings = rng.normal(scale=0.3, size=(5, 2, 3))
+        stack = _generator_stack(base, couplings)
+        for member, gvecs in zip(stack, couplings):
+            flucts = tuple(FluctuatorSpec(g=g, gamma=f.gamma, eta=f.eta)
+                           for g, f in zip(gvecs, base.fluctuators))
+            sys = SystemSpec(b0=base.b0, fluctuators=flucts, white_noise=base.white_noise)
+            assert np.array_equal(member, decoherence_generator(sys).mat)
+
+    def test_stack_rejects_non_finite_couplings(self):
+        with pytest.raises(ValueError, match="g must be finite"):
+            _generator_stack(make_system(), np.array([[[0.1, 0.0, 0.2]], [[0.1, np.inf, 0.2]]]))
+
     def test_fluctuator_cap_enforced(self):
         f = FluctuatorSpec(g=[0, 0, 0.1], gamma=0.1)
         with pytest.raises(ValueError, match="cap"):
@@ -314,6 +331,85 @@ class TestSpectralDecomposition:
         for sys in (make_system(theta=0.0), make_system(theta=0.8, eta=0.1, gamma=0.1)):
             sd = spectral_decomposition(decoherence_generator(sys))
             assert np.abs(sd.eigenvalues).min() < 1e-10
+
+
+def generator_stack(thetas, **kwargs):
+    return np.stack([decoherence_generator(make_system(theta=th, **kwargs)).mat for th in thetas])
+
+
+def assert_member_matches_single(spectra, b, mat):
+    single = spectral_decomposition(Superoperator(mat=mat, kind=KIND_GENERATOR,
+                                                  system=make_system()))
+    member = spectra.member(b, single.operator)
+    assert np.array_equal(member.eigenvalues, single.eigenvalues)
+    assert np.array_equal(member.right_vectors, single.right_vectors)
+    if single.left_vectors is None:
+        assert member.left_vectors is None
+    else:
+        assert np.array_equal(member.left_vectors, single.left_vectors)
+    assert member.condition == single.condition
+    assert member.defective == single.defective
+    assert member.max_residual == single.max_residual
+
+
+class TestDecomposeStack:
+    def test_members_match_single_decompositions(self):
+        mats = generator_stack([0.0, 0.4, 0.9, np.pi / 2], g=0.3, gamma=0.1, eta=0.04)
+        spectra = _decompose_stack(mats)
+        for b, mat in enumerate(mats):
+            assert_member_matches_single(spectra, b, mat)
+
+    def test_real_spectrum_stack_is_complex(self):
+        # LAPACK returns real arrays when every eigenvalue of the stack is real.
+        mats = np.stack([np.diag(np.arange(6.0)), np.diag(np.arange(6.0)[::-1])])
+        spectra = _decompose_stack(mats)
+        assert spectra.eigenvalues.dtype == spectra.right_vectors.dtype == np.complex128
+        assert not spectra.defective.any()
+
+    def test_singular_member_leaves_others_unchanged(self):
+        # A nilpotent 3x3 Jordan block gives exactly singular eigenvectors.
+        singular = scipy.linalg.block_diag(np.eye(3, k=1), np.diag([1.0, 2.0, 3.0]))
+        gens = generator_stack([0.3, 1.1], g=0.3, gamma=0.1)
+        mats = np.stack([gens[0], singular, gens[1]])
+        spectra = _decompose_stack(mats)
+        assert spectra.defective.tolist() == [False, True, False]
+        assert spectra.condition[1] == np.inf
+        for b, mat in enumerate(mats):
+            assert_member_matches_single(spectra, b, mat)
+
+    def test_forced_defective_member_leaves_others_unchanged(self, monkeypatch):
+        mats = generator_stack([0.2, 0.7, 1.3], g=0.3, gamma=0.1)
+        conditions = _decompose_stack(mats).condition
+        worst = int(np.argmax(conditions))
+        monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", np.sort(conditions)[-2:].mean())
+        spectra = _decompose_stack(mats)
+        assert np.flatnonzero(spectra.defective).tolist() == [worst]
+        for b, mat in enumerate(mats):
+            assert_member_matches_single(spectra, b, mat)
+
+    def test_non_finite_operator_rejected(self):
+        op = Superoperator(mat=np.full((6, 6), np.nan), kind=KIND_GENERATOR, system=make_system())
+        with pytest.raises(ValueError):
+            spectral_decomposition(op)
+
+    def test_residual_gate_names_the_member(self, monkeypatch):
+        # A diagonal member has residual 0 and passes a zero tolerance; the generator fails it.
+        mats = np.stack([np.diag(np.arange(6.0)), generator_stack([0.7])[0]])
+        monkeypatch.setattr(superop, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(EigendecompositionError, match="member 1 of 2"):
+            _decompose_stack(mats)
+
+
+class TestMemberBlocks:
+    @pytest.mark.parametrize("n_members,dim", [(0, 6), (1, 6), (61, 6), (5000, 6), (3, 48),
+                                               (4, 384)])
+    def test_blocks_cover_the_sweep_in_bounded_stacks(self, n_members, dim):
+        members = np.arange(n_members)
+        blocks = _member_blocks(n_members, dim)
+        assert np.concatenate([members[b] for b in blocks] + [members[:0]]).tolist() == list(members)
+        for b in blocks:
+            size = members[b].size
+            assert size == 1 or 1 < size and size * dim**2 <= 2**16
 
 
 class TestBoundary:
@@ -411,6 +507,17 @@ class TestEvolveOperator:
             echo_signal(sys, [1.0, np.nan])
         with pytest.raises(ValueError, match="t must be >= 0 and not NaN"):
             evolve_operator(gen, np.nan, sd)
+
+    def test_infinite_time_raises(self):
+        sys = make_system()
+        gen = decoherence_generator(sys)
+        sd = spectral_decomposition(gen)
+        with pytest.raises(ValueError, match="times must be >= 0 and not NaN or infinite"):
+            transfer_from_spectral(sd, [1.0, np.inf])
+        with pytest.raises(ValueError, match="echo times must be >= 0 and not NaN or infinite"):
+            echo_signal(sys, [1.0, np.inf])
+        with pytest.raises(ValueError, match="t must be >= 0 and not NaN or infinite"):
+            evolve_operator(gen, np.inf, sd)
 
     def test_defective_operator_falls_back_to_expm(self):
         sys = make_system()
