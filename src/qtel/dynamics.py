@@ -28,7 +28,6 @@ import numpy as np
 from .model import SystemSpec, as_bloch_array, rotation_matrix
 from .rates import ChannelRates, _select_rates
 from .superop import (
-    EigendecompositionError,
     SpectralDecomposition,
     decoherence_generator,
     spectral_decomposition,
@@ -174,14 +173,16 @@ def bang_bang_operator(
     One period is an instantaneous pi rotation about the chosen axis, then
     free evolution ``exp(-tau * generator)``: the pulses act at ``t = k tau``,
     ``k = 0 .. n_pulses - 1``.  The period operator ``U = V diag(mu) V^-1`` is
-    decomposed with the gates of ``spectral_decomposition``; a period flagged
-    defective raises ``EigendecompositionError``.  With the boundary modes
-    ``readout @ V`` and coefficients ``V^-1 @ prepare``, from the maps
+    decomposed with the gates of ``spectral_decomposition``.  With the boundary
+    modes ``readout @ V`` and coefficients ``V^-1 @ prepare``, from the maps
     ``sd.operator.boundary`` that every ``tau`` shares, the pulsed decay rates
     follow from the eigenvalues ``mu`` and the weights ``|modes * coeffs.T|``,
-    and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``.  The
-    period is real: its imaginary roundoff is checked against ``IMAG_TOL`` and
-    dropped, so the real eigensolver runs.
+    and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``.  A period
+    flagged defective degrades instead of raising: its transfer is
+    ``readout @ U**n_pulses @ prepare`` by matrix power, and its rates, still
+    from the weights, carry the ``near-defective`` flag.  The period is real:
+    its imaginary roundoff is checked against ``IMAG_TOL`` and dropped, so the
+    real eigensolver runs.
 
     ``tau`` may also be a 1-d array of spacings, which returns a tuple with
     one result per spacing.  Their periods all come from the one generator
@@ -219,12 +220,6 @@ def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
     free = _real_transfer(_exp_generator(sd, taus))
     periods = (free.reshape(-1, 3) @ pulse).reshape(free.shape)
     spectra = _decompose_stack(periods)
-    if spectra.defective.any():
-        b = int(np.argmax(spectra.defective))
-        raise EigendecompositionError(
-            f"pulsed one-period operator is near-defective at tau={taus[b]} "
-            f"(eigenvector condition {spectra.condition[b]:.2e})"
-        )
     mu = spectra.eigenvalues
     with np.errstate(divide="ignore"):
         candidate_rates = -np.log(np.abs(mu)) / taus[:, None]
@@ -232,13 +227,18 @@ def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
     readout, prepare = sd.operator.boundary
     modes, coeffs = readout @ spectra.right_vectors, spectra.left_vectors @ prepare
     rates = _select_rates(candidate_rates, np.abs(modes * coeffs.transpose(0, 2, 1)))
-    transfer = _real_transfer((modes * (mu**n_pulses)[:, None, :]) @ coeffs)
+    transfer = (modes * (mu**n_pulses)[:, None, :]) @ coeffs
+    defective = spectra.defective
+    if defective.any():
+        powered = np.linalg.matrix_power(periods[defective], n_pulses)
+        transfer[defective] = readout @ powered @ prepare
+    transfer = _real_transfer(transfer)
     return [
         BangBangResult(
             transfer=transfer[b],
             eigenvalues=mu[b],
             candidate_rates=candidate_rates[b],
-            rates=rates.member(b),
+            rates=rates.member(b, defective[b]),
             tau=float(tau),
             n_pulses=n_pulses,
             axis=axis,

@@ -5,7 +5,10 @@ Each eigenvalue of the decoherence generator contributes a mode
 rate observed in a channel (x, y or z) is the smallest ``Re(lambda)``
 among the modes that actually carry weight in that channel.  The
 z-channel rate is the relaxation rate 1/T1, the (equal) x/y rates give
-the dephasing rate 1/T2.
+the dephasing rate 1/T2.  Every rate, free or pulsed, is selected from these
+spectral weights, whatever the condition of the eigenvectors; a decomposition
+flagged defective near an exceptional point gives rates flagged
+``near-defective``.
 
 Closed forms are provided for the two exactly solvable geometries
 (noise field parallel or perpendicular to the static field), together
@@ -21,14 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _local_maxima
 from .model import FluctuatorSpec, SystemSpec
 from .superop import (
+    EigendecompositionError,
     SpectralDecomposition,
     boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
-    transfer_from_spectral,
     _decompose_stack,
     _generator_stack,
     _member_blocks,
@@ -73,7 +75,8 @@ class ChannelRates:
     ``rate_z`` is 1/T1, ``rate_xy`` is 1/T2 (mean of the x and y
     channel rates).  ``mode_weights`` maps each channel to the
     per-eigenvalue weight array used for the selection; ``flags``
-    records soft diagnostics such as ambiguous mode selection.
+    records soft diagnostics such as ambiguous mode selection or a
+    near-defective decomposition.
     """
 
     rate_z: float
@@ -133,12 +136,15 @@ class _RateStack(NamedTuple):
     ambiguous: np.ndarray
     weights: np.ndarray
 
-    def member(self, b: int) -> ChannelRates:
+    def member(self, b: int, defective: bool = False) -> ChannelRates:
+        """Member b's rates; ``defective`` says its decomposition is flagged defective."""
         rate_x, rate_y, rate_z, rate_xy = self.rates[b].tolist()
         flags = [f"{name}-rate-ambiguous"
                  for name, flag in zip(("x", "y", "z", "xy"), self.ambiguous[b].tolist()) if flag]
         if abs(rate_x - rate_y) > XY_AGREEMENT_TOL:
             flags.append("xy-rate-mismatch")
+        if defective:
+            flags.append("near-defective")
         return ChannelRates(
             rate_z=rate_z,
             rate_xy=rate_xy,
@@ -158,8 +164,17 @@ def _select_rates(mode_rates: np.ndarray, weights: np.ndarray) -> _RateStack:
     ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``.  Each channel's
     eligible modes are sorted by ``(rate, weight)`` and grouped left to right: a
     rate joins the open group when it lies within 1e-9 of that group's first
-    rate.  The group weights are summed left to right.
+    rate.  The group weights are summed left to right.  A member whose weights
+    are NaN has no left vectors (its eigenvector matrix could not be inverted)
+    and raises ``EigendecompositionError``.
     """
+    missing = np.isnan(weights).any(axis=(1, 2))
+    if missing.any():
+        b = int(np.argmax(missing))
+        raise EigendecompositionError(
+            f"no left eigenvectors: the eigenvector matrix is singular "
+            f"(member {b} of {len(weights)})"
+        )
     w = np.concatenate([weights, 0.5 * (weights[:, :1] + weights[:, 1:2])], axis=1)
     n_rows, n_modes = 4 * len(w), w.shape[2]
     w, r = w.reshape(n_rows, n_modes), np.repeat(mode_rates, 4, axis=0)
@@ -204,79 +219,16 @@ def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
     """Channel decay rates from a spectral decomposition.
 
     The rates come from the spectral weights of the modes between the
-    system's own boundary maps.  A defective decomposition has no reliable
-    left vectors, so its rates come from an envelope fit to the propagated
-    channels instead; that result has ``method == "envelope-fit"``.
+    system's own boundary maps, whatever the condition of the eigenvectors.
+    A decomposition flagged defective gives the same selection with the
+    ``near-defective`` flag; one without left vectors raises
+    ``EigendecompositionError``.
     """
-    if sd.defective:
-        return _envelope_fit_rates(sd)
-    weights = _mode_weights(sd.operator.boundary, sd.right_vectors, sd.left_vectors)
-    return channel_rates_from_modes(sd.eigenvalues.real, weights)
-
-
-def _fit_envelope_rate(times: np.ndarray, signal: np.ndarray) -> float:
-    """Decay rate of one channel from the peak envelope of |n_c(t)|.
-
-    Oscillating channels pass through zero every precession half-period,
-    so the envelope (local maxima of the magnitude) is extracted first.
-    The fit window then follows the visible decay of the envelope (from
-    below 90% of its maximum down to a 3% floor), which matches the
-    dominant-weight mode rather than an asymptotically slow tail of
-    negligible amplitude.
-    """
-    peaks = _local_maxima(signal)
-    if len(peaks) >= 6:
-        tt, ss = times[peaks], signal[peaks]
-    else:
-        tt, ss = times, signal
-    top_idx = int(np.argmax(ss))
-    tt, ss = tt[top_idx:], ss[top_idx:]
-    top = ss[0]
-    if top < 1e-12:
-        return 0.0
-    below = np.nonzero(ss < 0.03 * top)[0]
-    hi = below[0] if below.size else len(ss)
-    entered = np.nonzero(ss[:hi] < 0.9 * top)[0]
-    if entered.size == 0 or hi - entered[0] < 4:
-        return 0.0  # no visible decay in the window
-    lo = entered[0]
-    slope = np.polyfit(tt[lo:hi], np.log(np.clip(ss[lo:hi], 1e-300, None)), 1)[0]
-    return max(-float(slope), 0.0)
-
-
-def _envelope_fit_rates(sd: SpectralDecomposition) -> ChannelRates:
-    """Log-linear fit to the peak envelope of each channel's decay.
-
-    Fallback path for (near-)defective generators: propagate the three
-    channel unit vectors on an adaptive time grid and fit the visible
-    envelope of ``|n_c(t)|``.
-    """
-    rates_re = sd.eigenvalues.real
-    positive = rates_re[rates_re > ZERO_MODE_THRESHOLD]
-    slowest = positive.min() if positive.size else 1.0
-    t_max = min(30.0 / slowest, 1e6)
-    # Resolve the fastest oscillation so envelope peaks are not aliased.
-    fastest = float(np.abs(sd.eigenvalues.imag).max())
-    n_points = int(min(max(4000, 4.0 * t_max * fastest), 120_000))
-    times = np.linspace(0.0, t_max, n_points)
-    tmats = transfer_from_spectral(sd, times)
-
-    out = {}
-    for c, name in enumerate(_CHANNELS):
-        out[name] = _fit_envelope_rate(times, np.abs(tmats[:, c, c]))
-
-    flags = ("envelope-fit",)
-    if abs(out["x"] - out["y"]) > 1e-3 * max(out["x"], out["y"], 1e-300):
-        flags = flags + ("xy-rate-mismatch",)
-    return ChannelRates(
-        rate_z=out["z"],
-        rate_xy=0.5 * (out["x"] + out["y"]),
-        rate_x=out["x"],
-        rate_y=out["y"],
-        mode_weights=None,
-        method="envelope-fit",
-        flags=flags,
-    )
+    left = sd.left_vectors
+    if left is None:  # NaN weights, which the selection rejects
+        left = np.full_like(sd.right_vectors, np.nan)
+    weights = _mode_weights(sd.operator.boundary, sd.right_vectors, left)
+    return _select_rates(sd.eigenvalues.real[None], weights[None]).member(0, sd.defective)
 
 
 def free_decay_rates(sys: SystemSpec) -> ChannelRates:
@@ -388,10 +340,9 @@ def angle_sweep(
     ``theta`` is the angle between the noise coupling vector and the
     static field axis; the noise vector is ``g (sin theta, 0, cos theta)``.
     The generators are built, decomposed and weighted as stacks, one
-    eigensolve per stack of bounded size, and every rate is selected at once;
-    the rates equal ``free_decay_rates`` point by point.  An angle whose
-    generator is flagged defective takes ``free_decay_rates`` on its own, so
-    its rates come from the envelope fit.
+    eigensolve per stack of bounded size, and every rate is selected at once
+    from the spectral weights, defective members included; the rates equal
+    ``free_decay_rates`` point by point.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     couplings = g * np.stack([np.sin(theta_grid), np.zeros_like(theta_grid),
@@ -406,10 +357,6 @@ def angle_sweep(
         weights = _mode_weights(boundary, spectra.right_vectors, spectra.left_vectors)
         selected = _select_rates(spectra.eigenvalues.real, weights).rates
         rz[block], rxy[block] = selected[:, 2], selected[:, 3]
-        for i in block.start + np.flatnonzero(spectra.defective):
-            member = FluctuatorSpec(g=couplings[i], gamma=gamma, eta=eta)
-            cr = free_decay_rates(SystemSpec(b0=b0, fluctuators=(member,)))
-            rz[i], rxy[i] = cr.rate_z, cr.rate_xy
     rstar = np.full_like(theta_grid, np.nan)
     if eta == 0.0:
         for i, th in enumerate(theta_grid):

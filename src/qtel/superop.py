@@ -49,17 +49,19 @@ __all__ = [
 KIND_STEP = "discrete-step"
 KIND_GENERATOR = "generator"
 
-# Eigenvector-matrix condition bound (Frobenius) beyond which the decomposition
-# is treated as (near-)defective: exp(-t P) falls back to scaling-and-squaring
-# and a bang-bang period raises.
-DEFECTIVE_CONDITION = 1e8
-
 # Residual gate for eigenpairs, ||P v - lam v|| over a lower bound on ||P||_2.
 RESIDUAL_TOL = 1e-10
 
 # Absolute bound on the imaginary part of the contracted 3x3 transfer
 # matrix; larger values indicate an internal inconsistency.
 IMAG_TOL = 1e-10
+
+# Eigenvector-matrix condition bound (Frobenius) beyond which the decomposition
+# is treated as (near-)defective.  Roundoff in the spectral form grows like
+# condition * eps, so past IMAG_TOL / eps (about 4.5e5) it could fail the readout
+# check: exp(-t P) is then formed by scaling-and-squaring and a bang-bang period
+# by its matrix power.  Rates still come from the spectral weights.
+DEFECTIVE_CONDITION = IMAG_TOL / np.finfo(float).eps
 
 
 class EigendecompositionError(RuntimeError):
@@ -118,7 +120,8 @@ class SpectralDecomposition:
     that ``left_vectors @ right_vectors == I``.  ``condition`` is the bound
     ``||V||_F ||V^-1||_F >= cond_2(V)``, within a factor of the dimension, of
     the right vectors V; above ``DEFECTIVE_CONDITION`` the matrix is flagged
-    defective and the left vectors may be unreliable.
+    defective, so propagators are formed by ``expm`` instead of from the modes.
+    ``left_vectors`` is None when V could not be inverted (``condition = inf``).
     """
 
     eigenvalues: np.ndarray

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from qtel import (
     BangBangResult,
     BlochTrajectory,
-    EigendecompositionError,
     FluctuatorSpec,
     PulseSequence,
     SystemSpec,
@@ -98,6 +97,27 @@ def assert_same_bang_bang(a, b):
         b.rates.rate_x, b.rates.rate_y, b.rates.rate_z, b.rates.rate_xy, b.rates.flags)
 
 
+def assert_degraded(sys, sd, result, spectral):
+    """A period flagged defective: its transfer is powered directly, against expm, and its
+    rates are ``spectral``'s, read from the same weights, with the near-defective flag."""
+    axis = {"x": X_AXIS, "y": Y_AXIS}[result.axis]
+    lift = np.kron(np.eye(2**sys.n_fluctuators), rotation_matrix(axis, np.pi))
+    period = scipy.linalg.expm(-result.tau * sd.operator.mat) @ lift
+    readout, prepare = boundary_projectors(sys)
+    powered = readout @ np.linalg.matrix_power(period, result.n_pulses) @ prepare
+    assert_allclose(result.transfer, powered, rtol=0, atol=1e-10)
+    expected = expm_schedule(sys, [(axis, np.pi), result.tau] * result.n_pulses)
+    assert_allclose(result.transfer, expected, rtol=0, atol=1e-10)
+    assert np.array_equal(result.eigenvalues, spectral.eigenvalues)
+    assert np.array_equal(result.candidate_rates, spectral.candidate_rates)
+    assert (result.tau, result.n_pulses, result.axis) == (spectral.tau, spectral.n_pulses,
+                                                          spectral.axis)
+    got, want = result.rates, spectral.rates
+    assert (got.rate_x, got.rate_y, got.rate_z, got.rate_xy) == (
+        want.rate_x, want.rate_y, want.rate_z, want.rate_xy)
+    assert got.flags == want.flags + ("near-defective",)
+
+
 class TestBangBang:
     def test_noise_free_pulses_cause_no_decay(self):
         sys = make_system(g=0.0, gamma=0.3)
@@ -131,11 +151,14 @@ class TestBangBang:
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         assert np.linalg.norm(vecs @ result.transfer.T, axis=1).max() <= 1.0 + 1e-9
 
-    def test_defective_period_raises_through_shared_gate(self, monkeypatch, strong_mixed_system):
-        sd = spectral_decomposition(decoherence_generator(strong_mixed_system))
+    def test_defective_period_degrades_through_shared_gate(self, monkeypatch, strong_mixed_system):
+        # A period flagged defective is powered directly; its rates are the same weights' rates.
+        sys, tau, n = strong_mixed_system, 1.3, 7
+        sd = spectral_decomposition(decoherence_generator(sys))
+        spectral = bang_bang_operator(sys, tau, n, sd=sd)
         monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", 0.0)
-        with pytest.raises(EigendecompositionError, match="tau=1.3"):
-            bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1, sd=sd)
+        result = bang_bang_operator(sys, tau, n, sd=sd)
+        assert_degraded(sys, sd, result, spectral)
 
     def test_non_real_period_raises(self, monkeypatch, strong_mixed_system):
         # The period is decomposed as a real matrix; an imaginary part past IMAG_TOL is reported.
@@ -216,7 +239,7 @@ class TestBangBang:
         with pytest.raises(ValueError, match="tau must be finite and > 0, got -1.0"):
             bang_bang_operator(strong_mixed_system, [1.3, -1.0], 2, sd=sd)
 
-    def test_defective_period_in_a_sweep_names_its_tau(self, monkeypatch):
+    def test_defective_period_in_a_sweep_degrades_alone(self, monkeypatch):
         sys = two_fluctuator_system()
         sd = spectral_decomposition(decoherence_generator(sys))
         taus = np.array([1.3, 0.4, 2.9])  # the period at 0.4 has the largest condition
@@ -224,9 +247,13 @@ class TestBangBang:
         periods = [scipy.linalg.expm(-tau * sd.operator.mat) @ lift for tau in taus]
         conditions = superop._decompose_stack(np.stack(periods)).condition
         assert np.argmax(conditions) == 1
+        spectral = bang_bang_operator(sys, taus, 5, "y", sd)
         monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", np.sort(conditions)[-2:].mean())
-        with pytest.raises(EigendecompositionError, match="tau=0.4 "):
-            bang_bang_operator(sys, taus, 1, "y", sd)
+        sweep = bang_bang_operator(sys, taus, 5, "y", sd)
+        assert [r.tau for r in sweep] == taus.tolist()
+        assert_same_bang_bang(sweep[0], spectral[0])
+        assert_same_bang_bang(sweep[2], spectral[2])
+        assert_degraded(sys, sd, sweep[1], spectral[1])
 
     @pytest.mark.parametrize("n_pulses", [1.5, np.nan, True, 2.0])
     def test_non_integer_pulse_count_rejected(self, strong_mixed_system, n_pulses):
@@ -436,6 +463,37 @@ class TestScheduleEngineAgainstExpm:
             np.abs(result.eigenvalues[:, None] - expected[None, :])
         )
         assert_allclose(result.eigenvalues[got], expected[want], rtol=0, atol=1e-10)
+
+
+class TestExceptionalPoint:
+    """Aligned noise at g = gamma (eta = 0), where two modes coalesce.
+
+    The eigenvector condition is about 7.5e7, far past ``DEFECTIVE_CONDITION``, so
+    every propagator is formed by expm and must pass the readout check.
+    """
+
+    sys = make_system(b0=1.0, g=0.1, theta=0.0, gamma=0.1)
+
+    def test_decomposition_is_flagged_defective(self):
+        sd = spectral_decomposition(decoherence_generator(self.sys))
+        assert sd.defective and sd.condition > superop.DEFECTIVE_CONDITION
+
+    def test_free_trajectory(self):
+        times = np.linspace(0.0, 60.0, 601)
+        traj = free_trajectory(self.sys, X_AXIS, times)
+        expected = [expm_schedule(self.sys, [t]) @ X_AXIS for t in times]
+        assert_allclose(traj.points, expected, rtol=0, atol=1e-10)
+
+    def test_echo_signal(self):
+        times = np.linspace(0.0, 60.0, 51)
+        half, flip = (X_AXIS, np.pi / 2), (X_AXIS, np.pi)
+        expected = [expm_schedule(self.sys, [half, t / 2, flip, t / 2, half])[2, 2] for t in times]
+        assert_allclose(echo_signal(self.sys, times), expected, rtol=0, atol=1e-10)
+
+    def test_bang_bang_operator(self):
+        result = bang_bang_operator(self.sys, 1.0, 8)
+        expected = expm_schedule(self.sys, [(Y_AXIS, np.pi), 1.0] * 8)
+        assert_allclose(result.transfer, expected, rtol=0, atol=1e-10)
 
 
 class TestBlochTrajectory:

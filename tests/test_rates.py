@@ -2,9 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qtel import (
+    EigendecompositionError,
+    FluctuatorSpec,
+    Superoperator,
+    SystemSpec,
     angle_sweep,
     decoherence_generator,
     extract_rates,
@@ -93,17 +98,29 @@ class TestExtractRates:
             assert 0.0 <= rates.rate_z <= 2.0 * gamma + 1e-10
             assert 0.0 <= rates.rate_xy <= 2.0 * gamma + 1e-10
 
-    def test_envelope_fit_agrees_with_spectral_weights(self):
-        # Beat-free case (one dominant oscillation frequency per channel):
-        # the windowed envelope fit, which a defective decomposition takes,
-        # must reproduce the spectral rates.
+    def test_defective_decomposition_keeps_spectral_rates(self):
+        # A decomposition flagged defective is read from the same spectral weights,
+        # bit for bit; only its flags say so.
         sys = make_system(theta=np.pi / 2, g=0.1, gamma=0.5)
         sd = spectral_decomposition(decoherence_generator(sys))
         spectral = extract_rates(sd)
-        fitted = extract_rates(dataclasses.replace(sd, defective=True))
-        assert (spectral.method, fitted.method) == ("spectral-weight", "envelope-fit")
-        assert abs(fitted.rate_z - spectral.rate_z) / spectral.rate_z < 0.05
-        assert abs(fitted.rate_xy - spectral.rate_xy) / spectral.rate_xy < 0.05
+        flagged = extract_rates(dataclasses.replace(sd, defective=True))
+        assert flagged.method == spectral.method == "spectral-weight"
+        assert flagged.flags == spectral.flags + ("near-defective",)
+        assert dataclasses.replace(flagged, mode_weights=None, flags=()) == dataclasses.replace(
+            spectral, mode_weights=None, flags=())
+        for name, w in spectral.mode_weights.items():
+            assert np.array_equal(flagged.mode_weights[name], w)
+
+    def test_singular_eigenvectors_raise(self):
+        # A nilpotent 3x3 Jordan block gives exactly singular eigenvectors: no left
+        # vectors, so no weights to select from.
+        singular = scipy.linalg.block_diag(np.eye(3, k=1), np.diag([1.0, 2.0, 3.0]))
+        op = Superoperator(mat=singular, kind="generator", system=make_system())
+        sd = spectral_decomposition(op)
+        assert sd.left_vectors is None
+        with pytest.raises(EigendecompositionError, match="no left eigenvectors.*member 0 of 1"):
+            extract_rates(sd)
 
 
 class TestModeSelection:
@@ -218,6 +235,12 @@ class TestStackedSelection:
         assert "x-rate-ambiguous" in got.flags
         assert got.flags == reference_channel_rates(mode_rates, weights)[1]
 
+    def test_member_without_left_vectors_is_named(self, rng):
+        rates, weights = selection_cases(rng, n_cases=3)
+        weights[1, :, 0] = np.nan  # what a failed inversion leaves
+        with pytest.raises(EigendecompositionError, match="member 1 of 3"):
+            _select_rates(rates, weights)
+
     def test_channel_rates_are_the_one_row_case(self, rng):
         rates, weights = selection_cases(rng, n_cases=20)
         stack = _select_rates(rates, weights)
@@ -244,14 +267,9 @@ class TestLongitudinalClosedForm:
         assert abs(rates.rate_xy) < 1e-12
 
     def test_matches_numerical_extraction_on_grid(self):
-        # Grid avoids the exceptional point g = gamma (eta = 0), where the
-        # generator is genuinely defective and eigenvalues split at the
-        # square root of machine precision.
         for gamma in (0.05, 0.12, 0.5, 1.1):
             for g in (0.02, 0.1, 0.4):
                 for eta in (0.0, 0.4 * gamma, -0.9 * gamma):
-                    if abs(g - gamma) < 0.03 and eta == 0.0:
-                        continue
                     closed = longitudinal_rates(1.0, g, gamma, eta)
                     numeric = free_decay_rates(
                         make_system(theta=0.0, g=g, gamma=gamma, eta=eta)
@@ -264,7 +282,7 @@ class TestLongitudinalClosedForm:
             for g in (0.2, 0.3, 1.0):
                 for eta in (0.0, 0.5 * gamma):
                     if abs(g - gamma) < 0.03 and eta == 0.0:
-                        continue
+                        continue  # exceptional point: eigenvalues split at sqrt(eps)
                     sd = spectral_decomposition(
                         decoherence_generator(make_system(theta=0.0, g=g, gamma=gamma, eta=eta))
                     )
@@ -278,6 +296,18 @@ class TestLongitudinalClosedForm:
             decoherence_generator(make_system(theta=0.0, g=0.1, gamma=0.1))
         )
         assert sd.condition > 1e6
+
+    @pytest.mark.parametrize("n,gamma,rtol", [(1, 0.05, 1e-7), (1, 0.1, 1e-7), (1, 0.12, 1e-7),
+                                              (1, 0.5, 1e-7), (1, 1.1, 1e-7), (2, 0.1, 1e-4),
+                                              (3, 0.1, 1e-3)])
+    def test_identical_fluctuators_at_exceptional_point(self, n, gamma, rtol):
+        # At g = gamma (eta = 0) an order-2 exceptional point moves the eigenvalues by about
+        # sqrt(eps); the spectral weights still give N times the one-fluctuator rate.
+        fluctuator = FluctuatorSpec(g=[0.0, 0.0, gamma], gamma=gamma, eta=0.0)
+        rates = free_decay_rates(SystemSpec(b0=1.0, fluctuators=(fluctuator,) * n))
+        assert_allclose(rates.rate_xy, n * longitudinal_rates(1.0, gamma, gamma).rate_xy,
+                        rtol=rtol, atol=0)
+        assert "near-defective" in rates.flags
 
 
 class TestTransverseClosedForm:
@@ -411,29 +441,6 @@ class TestAngleSweep:
                             lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
         sweep = angle_sweep(1.0, 0.1, 0.5, 0.0, thetas)
         singles = [free_decay_rates(s) for s in systems]
-        assert [cr.method for cr in singles] == ["spectral-weight"] * 2 + ["envelope-fit"]
+        assert ["near-defective" in cr.flags for cr in singles] == [False, False, True]
         for i, cr in enumerate(singles):
             assert (sweep.rate_z[i], sweep.rate_xy[i]) == (cr.rate_z, cr.rate_xy)
-
-    def test_defective_member_takes_envelope_fit_alone(self, monkeypatch):
-        thetas = np.array([0.3, 0.8, 1.3])
-        systems = [make_system(g=0.1, theta=th, gamma=0.5) for th in thetas]
-        singles = [spectral_decomposition(decoherence_generator(s)) for s in systems]
-        worst = int(np.argmax([sd.condition for sd in singles]))
-        spectral = [extract_rates(sd) for sd in singles]
-        fitted = []
-
-        def fake_fit(sd):
-            fitted.append(sd)
-            return dataclasses.replace(spectral[worst], rate_z=7.0, rate_xy=8.0)
-
-        monkeypatch.setattr(rates, "_envelope_fit_rates", fake_fit)
-        monkeypatch.setattr(superop, "DEFECTIVE_CONDITION",
-                            np.sort([sd.condition for sd in singles])[-2:].mean())
-        sweep = angle_sweep(1.0, 0.1, 0.5, 0.0, thetas)
-        assert len(fitted) == 1 and fitted[0].defective
-        assert np.array_equal(fitted[0].eigenvalues, singles[worst].eigenvalues)
-        assert np.array_equal(fitted[0].operator.mat, singles[worst].operator.mat)
-        for i in range(len(thetas)):
-            want = (7.0, 8.0) if i == worst else (spectral[i].rate_z, spectral[i].rate_xy)
-            assert (sweep.rate_z[i], sweep.rate_xy[i]) == want
