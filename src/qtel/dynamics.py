@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemSpec, as_bloch_array, rotation_matrix
-from .rates import ChannelRates, _select_rates
+from .rates import ChannelRates, _rate_resolution, _select_rates
 from .superop import (
     SpectralDecomposition,
     decoherence_generator,
@@ -37,6 +37,7 @@ from .superop import (
     _exp_generator,
     _member_blocks,
     _real_transfer,
+    _sweep_member,
 )
 
 __all__ = [
@@ -204,29 +205,32 @@ def bang_bang_operator(
         sd = spectral_decomposition(decoherence_generator(sys))
     results = []
     for block in _member_blocks(flat.size, sd.dimension):
-        results += _bang_bang_stack(sd, flat[block], n_pulses, axis)
+        name = _sweep_member(block, flat.size, flat)
+        results += _bang_bang_stack(sd, flat[block], n_pulses, axis, name)
     return results[0] if taus.ndim == 0 else tuple(results)
 
 
 def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
-                     axis: str) -> list[BangBangResult]:
+                     axis: str, name) -> list[BangBangResult]:
     """Bang-bang results of every spacing in ``taus``, decomposed as one stack.
 
     All periods come from the one generator decomposition ``sd``,
-    ``V diag(e^{-lambda tau}) V^-1`` followed by ``I (x) R``.
+    ``V diag(e^{-lambda tau}) V^-1`` followed by ``I (x) R``.  ``name(b)``
+    names member b in errors.
     """
     pulse = rotation_matrix(_AXES[axis], np.pi)
     # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
     free = _real_transfer(_exp_generator(sd, taus))
     periods = (free.reshape(-1, 3) @ pulse).reshape(free.shape)
-    spectra = _decompose_stack(periods)
+    spectra = _decompose_stack(periods, name)
     mu = spectra.eigenvalues
     with np.errstate(divide="ignore"):
         candidate_rates = -np.log(np.abs(mu)) / taus[:, None]
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
     readout, prepare = sd.operator.boundary
     modes, coeffs = readout @ spectra.right_vectors, spectra.left_vectors @ prepare
-    rates = _select_rates(candidate_rates, np.abs(modes * coeffs.transpose(0, 2, 1)))
+    near = _rate_resolution(spectra.condition, spectra.defective, 1.0 / taus)
+    rates = _select_rates(candidate_rates, np.abs(modes * coeffs.transpose(0, 2, 1)), near, name)
     transfer = (modes * (mu**n_pulses)[:, None, :]) @ coeffs
     defective = spectra.defective
     if defective.any():

@@ -137,70 +137,85 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     )
 
 
-def _rotate_vectors(n: np.ndarray, states: np.ndarray, dts: np.ndarray,
-                    axis_plus: np.ndarray, axis_minus: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of each row of n about its state's field axis."""
-    axes = np.where(states[:, None] > 0, axis_plus[None, :], axis_minus[None, :])
-    norms = np.linalg.norm(axes, axis=1)
-    angles = norms * dts
-    safe = np.where(norms > 0, norms, 1.0)
-    u = axes / safe[:, None]
-    cos = np.cos(angles)[:, None]
-    sin = np.sin(angles)[:, None]
-    return n * cos + np.cross(u, n) * sin + u * np.sum(u * n, axis=1)[:, None] * (1.0 - cos)
-
-
 def _telegraph_levels(f: FluctuatorSpec, p_plus: float, size: int, t_grid,
                       rng: np.random.Generator, on_switch=None):
     """Yield the levels of `size` telegraph samples at each time of `t_grid`.
 
     The initial level is +1 with probability ``p_plus`` and the dwell in
     level s is exponential at rate ``gamma + s * eta`` (a frozen level
-    dwells forever), so switch times are exact.  ``on_switch(states,
-    active, times)`` runs before the masked samples flip at ``times``.
-    The yielded array is updated in place.
+    dwells forever), so switch times are exact.  Each switch round takes
+    only the samples that switch before the probe: the first round scans
+    every sample, and a later one keeps those of the last round whose next
+    switch still falls before it.  ``on_switch(idx, states, times)`` runs
+    before the samples of the ascending index array ``idx`` flip at
+    ``times``; the dwells are drawn in ascending sample order, one per
+    switch.  The yielded array is updated in place.
     """
     states = np.where(rng.random(size) < p_plus, 1, -1).astype(np.int8)
     with np.errstate(divide="ignore"):
         next_switch = rng.exponential(1.0, size) / (f.gamma + f.eta * states)
     for t in t_grid:
-        while (active := next_switch < t).any():
+        idx = np.flatnonzero(next_switch < t)
+        while idx.size:
+            times = next_switch.take(idx)
             if on_switch is not None:
-                on_switch(states, active, next_switch[active])
-            states[active] = -states[active]
+                on_switch(idx, states, times)
+            flipped = -states.take(idx)
+            states[idx] = flipped
             with np.errstate(divide="ignore"):
-                next_switch[active] += rng.exponential(1.0, int(active.sum())) / (
-                    f.gamma + f.eta * states[active]
-                )
+                times = times + rng.exponential(1.0, idx.size) / (f.gamma + f.eta * flipped)
+            next_switch[idx] = times
+            idx = idx[times < t]
         yield states
 
 
 def _sample_chunk(f: FluctuatorSpec, b0: float, p_plus: float, n0: np.ndarray,
                   t_grid: np.ndarray, size: int, rng: np.random.Generator):
-    """Simulate `size` telegraph trajectories; returns per-time sums."""
-    axis_plus = np.array([0.0, 0.0, b0]) + f.g
-    axis_minus = np.array([0.0, 0.0, b0]) - f.g
-    n = np.tile(n0, (size, 1))
+    """Simulate `size` telegraph trajectories; returns per-time sums.
+
+    Each sample's Bloch vector rotates about its level's field axis
+    ``b0 z + s g`` from its last switch to the next one, and from there to
+    each probe.  The two axes, their norms and unit vectors are formed once
+    per chunk.  The Rodrigues step ``n cos + (u x n) sin + u (u . n)(1 - cos)``
+    is written per component in the order numpy's ``cross`` and ``sum``
+    take, and the sums over samples reduce a ``(size, 3)`` copy, so the
+    estimate keeps the bits of a row-wise ``(size, 3)`` rotation.
+    """
+    base = np.array([0.0, 0.0, b0])
+    axes = np.stack([base + f.g, base - f.g])  # rows: level +1, level -1
+    norms = np.linalg.norm(axes, axis=1)
+    units = (axes / np.where(norms > 0, norms, 1.0)[:, None]).T
+    n = np.tile(n0[:, None], (1, size))  # one column per sample
     cursor = np.zeros(size)
 
-    def switch(states, active, times):
-        n[active] = _rotate_vectors(
-            n[active], states[active], times - cursor[active], axis_plus, axis_minus
-        )
-        cursor[active] = times
+    def rotate(idx, levels, dts):
+        """Rotate the samples ``idx``, in ``levels``, through the times ``dts``."""
+        level = (levels < 0).astype(np.intp)
+        angles = norms.take(level) * dts
+        cos, sin = np.cos(angles), np.sin(angles)
+        ux, uy, uz = units.take(level, axis=1)
+        nx, ny, nz = n.take(idx, axis=1)
+        dot = ux * nx + uy * ny + uz * nz
+        rest = 1.0 - cos
+        n[0, idx] = nx * cos + (uy * nz - uz * ny) * sin + ux * dot * rest
+        n[1, idx] = ny * cos + (uz * nx - ux * nz) * sin + uy * dot * rest
+        n[2, idx] = nz * cos + (ux * ny - uy * nx) * sin + uz * dot * rest
+
+    def switch(idx, states, times):
+        rotate(idx, states.take(idx), times - cursor.take(idx))
+        cursor[idx] = times
 
     sums = np.zeros((len(t_grid), 3))
     sumsq = np.zeros((len(t_grid), 3))
     levels = _telegraph_levels(f, p_plus, size, t_grid, rng, switch)
     for k, (tk, states) in enumerate(zip(t_grid, levels)):
         remaining = tk - cursor
-        moving = remaining > 0
-        n[moving] = _rotate_vectors(
-            n[moving], states[moving], remaining[moving], axis_plus, axis_minus
-        )
+        moving = np.flatnonzero(remaining > 0)
+        rotate(moving, states.take(moving), remaining.take(moving))
         cursor[:] = tk
-        sums[k] = n.sum(axis=0)
-        sumsq[k] = (n**2).sum(axis=0)
+        rows = np.ascontiguousarray(n.T)
+        sums[k] = rows.sum(axis=0)
+        sumsq[k] = (rows**2).sum(axis=0)
     return sums, sumsq
 
 

@@ -35,6 +35,7 @@ from .superop import (
     _generator_stack,
     _member_blocks,
     _mode_weights,
+    _sweep_member,
 )
 
 __all__ = [
@@ -156,25 +157,44 @@ class _RateStack(NamedTuple):
         )
 
 
-# Two infinite rates differ by NaN: they are not near, and their spread is not above 1e-9.
+# inf * 0 is NaN, for a singular member with an all-zero spectrum, whose selection raises.
 @np.errstate(invalid="ignore")
-def _select_rates(mode_rates: np.ndarray, weights: np.ndarray) -> _RateStack:
+def _rate_resolution(condition, defective, scale) -> np.ndarray:
+    """How far apart two rates of each member must lie to count as two rates.
+
+    It is 1e-9, or for a member flagged defective the larger roundoff bound
+    ``condition * eps * scale`` on its rates: ``scale`` is the spectral radius of
+    a generator, or ``1 / tau`` for a bang-bang period (the bound at its slowest
+    modes, whose ``|mu|`` is the spectral radius).  At an order-2 exceptional
+    point the coalescing pair splits by more than 1e-9 but less than this bound.
+    """
+    bound = np.asarray(condition) * np.finfo(float).eps * scale
+    return np.where(defective, np.fmax(bound, 1e-9), 1e-9)
+
+
+# Two infinite rates differ by NaN: they are not near, and their spread is not above near.
+@np.errstate(invalid="ignore")
+def _select_rates(mode_rates: np.ndarray, weights: np.ndarray, near=None,
+                  name=None) -> _RateStack:
     """The selection of ``channel_rates_from_modes`` for a stack of B members.
 
     ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``.  Each channel's
     eligible modes are sorted by ``(rate, weight)`` and grouped left to right: a
-    rate joins the open group when it lies within 1e-9 of that group's first
-    rate.  The group weights are summed left to right.  A member whose weights
-    are NaN has no left vectors (its eigenvector matrix could not be inverted)
-    and raises ``EigendecompositionError``.
+    rate joins the open group when it lies within ``near[b]`` (by default 1e-9,
+    see ``_rate_resolution``) of that group's first rate.  The group weights are
+    summed left to right.  A member whose weights are NaN has no left vectors
+    (its eigenvector matrix could not be inverted) and raises
+    ``EigendecompositionError``, named by ``name(b)`` ("member b of B" by default).
     """
     missing = np.isnan(weights).any(axis=(1, 2))
     if missing.any():
         b = int(np.argmax(missing))
+        name = name or _sweep_member(slice(0, len(weights)), len(weights))
         raise EigendecompositionError(
-            f"no left eigenvectors: the eigenvector matrix is singular "
-            f"(member {b} of {len(weights)})"
+            f"no left eigenvectors: the eigenvector matrix is singular ({name(b)})"
         )
+    # One row per member and channel x, y, z, xy.
+    near = np.repeat(np.full(len(weights), 1e-9) if near is None else near, 4)[:, None]
     w = np.concatenate([weights, 0.5 * (weights[:, :1] + weights[:, 1:2])], axis=1)
     n_rows, n_modes = 4 * len(w), w.shape[2]
     w, r = w.reshape(n_rows, n_modes), np.repeat(mode_rates, 4, axis=0)
@@ -189,11 +209,11 @@ def _select_rates(mode_rates: np.ndarray, weights: np.ndarray) -> _RateStack:
     # another joined one can be; such modes are found left to right, one per row and
     # pass, as each one moves the first rate after it.
     starts = eligible.copy()
-    starts[:, 1:] &= ~(np.abs(r[:, 1:] - r[:, :-1]) < 1e-9)
+    starts[:, 1:] &= ~(np.abs(r[:, 1:] - r[:, :-1]) < near)
     joined = eligible & ~starts
     while (joined[:, 1:] & joined[:, :-1]).any():
         first = np.maximum.accumulate(np.where(starts, np.arange(n_modes), 0), axis=1)
-        late = joined & ~(np.abs(r - r.take(first + n_modes * row)) < 1e-9)
+        late = joined & ~(np.abs(r - r.take(first + n_modes * row)) < near)
         if not late.any():
             break
         rows = np.nonzero(late.any(axis=1))[0]
@@ -209,7 +229,7 @@ def _select_rates(mode_rates: np.ndarray, weights: np.ndarray) -> _RateStack:
     heavy = starts & (group_weight.take(slot) >= second[:, None])  # at each group's first rate
     heavy_rates = np.where(heavy, r, np.nan)
     spread = np.fmax.reduce(heavy_rates, axis=1) - np.fmin.reduce(heavy_rates, axis=1)
-    ambiguous = (second > 0.5 * heaviest) & (spread > 1e-9)
+    ambiguous = (second > 0.5 * heaviest) & (spread > near[:, 0])
     rates = np.where(eligible[:, 0], r[:, 0], 0.0)
     shape = weights.shape[0], 4
     return _RateStack(rates.reshape(shape), ambiguous.reshape(shape), weights)
@@ -228,7 +248,8 @@ def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
     if left is None:  # NaN weights, which the selection rejects
         left = np.full_like(sd.right_vectors, np.nan)
     weights = _mode_weights(sd.operator.boundary, sd.right_vectors, left)
-    return _select_rates(sd.eigenvalues.real[None], weights[None]).member(0, sd.defective)
+    near = _rate_resolution([sd.condition], [sd.defective], np.abs(sd.eigenvalues).max())
+    return _select_rates(sd.eigenvalues.real[None], weights[None], near).member(0, sd.defective)
 
 
 def free_decay_rates(sys: SystemSpec) -> ChannelRates:
@@ -353,9 +374,11 @@ def angle_sweep(
     boundary = boundary_projectors(sys)
     rz, rxy = np.empty_like(theta_grid), np.empty_like(theta_grid)
     for block in _member_blocks(len(theta_grid), sys.dimension):
-        spectra = _decompose_stack(_generator_stack(sys, couplings[block, None, :]))
+        name = _sweep_member(block, len(theta_grid))
+        spectra = _decompose_stack(_generator_stack(sys, couplings[block, None, :]), name)
         weights = _mode_weights(boundary, spectra.right_vectors, spectra.left_vectors)
-        selected = _select_rates(spectra.eigenvalues.real, weights).rates
+        # Only the rates are kept, and grouping moves only the ambiguity flags.
+        selected = _select_rates(spectra.eigenvalues.real, weights, name=name).rates
         rz[block], rxy[block] = selected[:, 2], selected[:, 3]
     rstar = np.full_like(theta_grid, np.nan)
     if eta == 0.0:

@@ -253,7 +253,7 @@ class _Spectra(NamedTuple):
         )
 
 
-def _decompose_stack(mats: np.ndarray) -> _Spectra:
+def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
     """Decompose a ``(B, d, d)`` stack with one eigensolve and one inversion.
 
     Each member passes the gates of ``spectral_decomposition`` on its own: an
@@ -261,6 +261,7 @@ def _decompose_stack(mats: np.ndarray) -> _Spectra:
     Frobenius ``condition`` that is infinite or above ``DEFECTIVE_CONDITION`` flags
     that member defective.  When the stacked inversion fails, the members are
     inverted one by one, so only a singular member gets ``condition = inf``.
+    ``name(b)`` names member b in the error; by default it is "member b of B".
     """
     if not np.all(np.isfinite(mats)):
         raise ValueError("operator entries must be finite")
@@ -277,9 +278,9 @@ def _decompose_stack(mats: np.ndarray) -> _Spectra:
     failed = np.flatnonzero(max_residual > RESIDUAL_TOL)
     if failed.size:
         b = failed[0]
+        name = name or _sweep_member(slice(0, len(mats)), len(mats))
         raise EigendecompositionError(
-            f"eigenpair residual {max_residual[b]:.3e} exceeds {RESIDUAL_TOL:.1e} "
-            f"(member {b} of {len(mats)})"
+            f"eigenpair residual {max_residual[b]:.3e} exceeds {RESIDUAL_TOL:.1e} ({name(b)})"
         )
 
     try:
@@ -306,6 +307,18 @@ def _member_blocks(n_members: int, dim: int) -> list[slice]:
     """
     step = max(1, 2**16 // dim**2)
     return [slice(k, k + step) for k in range(0, n_members, step)]
+
+
+def _sweep_member(block: slice, n_members: int, taus: np.ndarray | None = None):
+    """Name member b of the stack ``block`` by its index in a sweep of ``n_members``.
+
+    Given the sweep's spacings ``taus``, the name gives the member's ``tau`` too.
+    """
+    def name(b: int) -> str:
+        index = block.start + b
+        spacing = "" if taus is None else f", tau {float(taus[index])}"
+        return f"member {index} of {n_members}{spacing}"
+    return name
 
 
 def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:

@@ -28,7 +28,7 @@ from qtel import (
     transfer_from_spectral,
 )
 from qtel import dynamics, superop
-from qtel.superop import ContractionError, boundary_projectors
+from qtel.superop import ContractionError, EigendecompositionError, boundary_projectors
 
 from conftest import make_system, mixed_fluctuator_system, two_fluctuator_system
 
@@ -254,6 +254,44 @@ class TestBangBang:
         assert_same_bang_bang(sweep[0], spectral[0])
         assert_same_bang_bang(sweep[2], spectral[2])
         assert_degraded(sys, sd, sweep[1], spectral[1])
+
+    def test_errors_name_the_sweep_index_and_tau(self, monkeypatch):
+        # In stacks of two, sweep index 2 is member 0 of the second stack.
+        sys = two_fluctuator_system()
+        sd = spectral_decomposition(decoherence_generator(sys))
+        taus = np.array([1.3, 0.4, 2.9])
+        decompose = dynamics._decompose_stack
+        residuals = []
+
+        def recording(mats, name):
+            spectra = decompose(mats, name)
+            residuals.extend(spectra.max_residual)
+            return spectra
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_decompose_stack", recording)
+            bang_bang_operator(sys, taus, 5, "y", sd)
+        taus = taus[np.argsort(residuals)]
+        worst, second = np.sort(residuals)[::-1][:2]
+        assert worst > second
+        monkeypatch.setattr(dynamics, "_member_blocks",
+                            lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        with monkeypatch.context() as patch:
+            patch.setattr(superop, "RESIDUAL_TOL", (worst + second) / 2)
+            with pytest.raises(EigendecompositionError,
+                               match=rf"\(member 2 of 3, tau {taus[2]}\)"):
+                bang_bang_operator(sys, taus, 5, "y", sd)
+
+        def second_stack_without_left_vectors(mats, name=None):
+            spectra = decompose(mats, name)
+            if len(mats) == 2:
+                return spectra
+            return spectra._replace(left_vectors=np.full_like(spectra.left_vectors, np.nan))
+
+        monkeypatch.setattr(dynamics, "_decompose_stack", second_stack_without_left_vectors)
+        with pytest.raises(EigendecompositionError,
+                           match=rf"no left eigenvectors.*\(member 2 of 3, tau {taus[2]}\)"):
+            bang_bang_operator(sys, taus, 5, "y", sd)
 
     @pytest.mark.parametrize("n_pulses", [1.5, np.nan, True, 2.0])
     def test_non_integer_pulse_count_rejected(self, strong_mixed_system, n_pulses):

@@ -23,6 +23,8 @@ from qtel import (
     telegraph_spectrum,
     transfer_from_spectral,
 )
+from qtel import oracle
+from qtel.model import FluctuatorDistribution
 from qtel.oracle import MAX_ENUM_STEPS
 from qtel.superop import boundary_projectors
 
@@ -253,6 +255,104 @@ class TestMonteCarlo:
         _, transfer = evolve_operator(gen, 4.0)
         sigma = np.abs(estimate.mean[0] - transfer @ X_AXIS) / estimate.stderr[0]
         assert sigma.max() < 5.0
+
+
+# A reference for the sampler's bits: a boolean-mask switching loop over every sample
+# and a row-wise (size, 3) Rodrigues rotation.  The oracle must draw the same
+# exponentials in the same order and round every rotation the same way.
+def _rotate_vectors(n: np.ndarray, states: np.ndarray, dts: np.ndarray,
+                    axis_plus: np.ndarray, axis_minus: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation of each row of n about its state's field axis."""
+    axes = np.where(states[:, None] > 0, axis_plus[None, :], axis_minus[None, :])
+    norms = np.linalg.norm(axes, axis=1)
+    angles = norms * dts
+    safe = np.where(norms > 0, norms, 1.0)
+    u = axes / safe[:, None]
+    cos = np.cos(angles)[:, None]
+    sin = np.sin(angles)[:, None]
+    return n * cos + np.cross(u, n) * sin + u * np.sum(u * n, axis=1)[:, None] * (1.0 - cos)
+
+
+def reference_levels(f, p_plus, size, t_grid, rng, on_switch=None):
+    states = np.where(rng.random(size) < p_plus, 1, -1).astype(np.int8)
+    with np.errstate(divide="ignore"):
+        next_switch = rng.exponential(1.0, size) / (f.gamma + f.eta * states)
+    for t in t_grid:
+        while (active := next_switch < t).any():
+            if on_switch is not None:
+                on_switch(states, active, next_switch[active])
+            states[active] = -states[active]
+            with np.errstate(divide="ignore"):
+                next_switch[active] += rng.exponential(1.0, int(active.sum())) / (
+                    f.gamma + f.eta * states[active]
+                )
+        yield states
+
+
+def reference_chunk(f, b0, p_plus, n0, t_grid, size, rng):
+    axis_plus = np.array([0.0, 0.0, b0]) + f.g
+    axis_minus = np.array([0.0, 0.0, b0]) - f.g
+    n = np.tile(n0, (size, 1))
+    cursor = np.zeros(size)
+
+    def switch(states, active, times):
+        n[active] = _rotate_vectors(
+            n[active], states[active], times - cursor[active], axis_plus, axis_minus
+        )
+        cursor[active] = times
+
+    sums = np.zeros((len(t_grid), 3))
+    sumsq = np.zeros((len(t_grid), 3))
+    levels = reference_levels(f, p_plus, size, t_grid, rng, switch)
+    for k, (tk, states) in enumerate(zip(t_grid, levels)):
+        remaining = tk - cursor
+        moving = remaining > 0
+        n[moving] = _rotate_vectors(
+            n[moving], states[moving], remaining[moving], axis_plus, axis_minus
+        )
+        cursor[:] = tk
+        sums[k] = n.sum(axis=0)
+        sumsq[k] = (n**2).sum(axis=0)
+    return sums, sumsq
+
+
+TILTED = 0.3 * np.array([np.sin(0.7), 0.0, np.cos(0.7)])
+OFF_AXIS = np.array([0.6, -0.48, 0.64])
+PROBES = np.array([0.0, 0.5, 2.0, 7.0])
+
+
+class TestSamplerBits:
+    @pytest.mark.parametrize(
+        "g, gamma, eta, b0, n0, size",
+        [
+            pytest.param(TILTED, 0.2, 0.05, 1.0, X_AXIS, 8192, id="tilted"),
+            pytest.param(TILTED, 0.9, -0.3, 1.0, OFF_AXIS, 1000, id="fast-off-axis"),
+            pytest.param(TILTED, 0.3, 0.3, 1.0, X_AXIS, 1000, id="frozen-minus"),
+            pytest.param(TILTED, 0.3, -0.3, 1.0, OFF_AXIS, 1000, id="frozen-plus"),
+            pytest.param(TILTED, 0.0, 0.0, 1.0, X_AXIS, 1000, id="gamma-zero"),
+            pytest.param(np.zeros(3), 0.4, 0.1, 1.0, OFF_AXIS, 1000, id="g-zero"),
+            pytest.param(TILTED, 0.4, 0.0, 0.0, X_AXIS, 1000, id="b0-zero"),
+            pytest.param(np.array([1.2, -0.4, 0.3]), 0.5, 0.2, 1.0, np.array([0.0, 0.0, 1.0]),
+                         8192, id="strong-on-axis"),
+        ],
+    )
+    def test_chunk_sums_equal_reference(self, g, gamma, eta, b0, n0, size):
+        dist = FluctuatorDistribution.from_upper(0.3) if gamma == 0.0 else None
+        f = FluctuatorSpec(g=g, gamma=gamma, eta=eta, initial_distribution=dist)
+        p_plus = 0.3 if dist else oracle.stationary_distribution(f).p_plus
+        for seed in (0, 1):
+            got = oracle._sample_chunk(f, b0, p_plus, n0, PROBES, size,
+                                       np.random.default_rng(seed))
+            want = reference_chunk(f, b0, p_plus, n0, PROBES, size, np.random.default_rng(seed))
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("gamma", [0.05, 2.0])
+    def test_states_on_grid_equal_reference(self, gamma):
+        f = FluctuatorSpec(g=[0.3, 0.0, 0.0], gamma=gamma, eta=0.0)
+        dt = 0.02 / gamma
+        got = oracle._sample_states_on_grid(f, 200, dt, 300, np.random.default_rng(4))
+        levels = reference_levels(f, 0.5, 300, np.arange(200) * dt, np.random.default_rng(4))
+        assert np.array_equal(got, np.stack([states.copy() for states in levels], axis=1))
 
 
 class TestDwellTimes:
