@@ -42,11 +42,17 @@ from .model import FluctuatorSpec, SystemSpec, _single_fluctuator, _switch_matri
 from .oracle import MAX_ENUM_STEPS, enumerate_sequences, sample_trajectories
 from .rates import angle_sweep, extract_rates
 from .superop import (
+    KIND_GENERATOR,
+    Superoperator,
     decoherence_generator,
     discrete_transfer_operator,
     spectral_decomposition,
     transfer_from_spectral,
+    _decompose_stack,
+    _generator_stack,
+    _member_blocks,
     _real_transfer,
+    _sweep_member,
 )
 
 __all__ = ["ExperimentConfig", "ResultTable", "ConfigError", "presets", "run", "main"]
@@ -228,11 +234,20 @@ class ResultTable:
         object.__setattr__(self, "rows", rows)
 
     def csv_text(self) -> str:
-        # 17 significant digits: lossless round-trip for IEEE doubles.
-        row_format = ",".join(["%.17g"] * len(self.columns))
-        lines = [",".join(self.columns), ",".join(self.units)]
-        lines += [row_format % tuple(row) for row in self.rows.tolist()]
-        return "\n".join(lines) + "\n"
+        # 17 significant digits: lossless round-trip for IEEE doubles.  The rows go through
+        # one % over a repeated row template.  A column that repeats values, such as a sweep
+        # grid, enters as text with each distinct value formatted once; values match by bit
+        # pattern, so -0.0 and 0.0 stay apart.
+        cells, formats = self.rows.astype(object), ["%.17g"] * len(self.columns)
+        bits = self.rows.view(np.int64)
+        ordered = np.sort(bits, axis=0)
+        for j in np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0)):
+            distinct, index = np.unique(bits[:, j], return_inverse=True)
+            text = "\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(float).tolist())
+            cells[:, j] = np.array(text.split("\n"), dtype=object)[index]
+            formats[j] = "%s"
+        body = "".join(["\n" + ",".join(formats)] * len(self.rows)) % tuple(cells.ravel().tolist())
+        return ",".join(self.columns) + "\n" + ",".join(self.units) + body + "\n"
 
     def metadata(self, wall_time_s: float) -> dict:
         return {
@@ -324,16 +339,16 @@ def _run_rates_sweep(cfg: ExperimentConfig) -> ResultTable:
         thetas = np.asarray(cfg.theta_values, dtype=float)
     else:
         thetas = np.linspace(0.0, np.pi / 2.0, cfg.theta_points)
-    rows = []
-    for eta in cfg.eta_values:
-        sweep = angle_sweep(cfg.b0, cfg.g, cfg.gamma, eta, thetas)
-        for i in range(len(thetas)):
-            rows.append([thetas[i], eta, sweep.rate_z[i], sweep.rate_xy[i], sweep.rate_2_star[i]])
+    sweeps = [angle_sweep(cfg.b0, cfg.g, cfg.gamma, eta, thetas) for eta in cfg.eta_values]
+    rows = np.concatenate([
+        np.column_stack([s.theta, np.full_like(s.theta, s.eta), s.rate_z, s.rate_xy, s.rate_2_star])
+        for s in sweeps
+    ])
     return ResultTable(
         name="rates-sweep",
         columns=("theta", "eta", "inv_t1", "inv_t2", "inv_t2_star"),
         units=("rad", "B0", "B0", "B0", "B0"),
-        rows=np.array(rows),
+        rows=rows,
         config=cfg,
     )
 
@@ -363,17 +378,25 @@ def _run_bang_bang(cfg: ExperimentConfig) -> ResultTable:
 
 def _run_echo(cfg: ExperimentConfig) -> ResultTable:
     times = np.linspace(0.0, cfg.t_max, cfg.t_points)
-    rows = []
-    for theta in cfg.theta_values:
-        gvec = cfg.g * np.array([math.sin(theta), 0.0, math.cos(theta)])
-        signal = echo_signal(cfg.system(g_vector=gvec), times)
-        for t, s in zip(times, signal):
-            rows.append([theta, t, s])
+    thetas = np.asarray(cfg.theta_values, dtype=float)
+    couplings = cfg.g * np.array([[math.sin(theta), 0.0, math.cos(theta)] for theta in thetas])
+    systems = [cfg.system(g_vector=gvec) for gvec in couplings]
+    # The angles differ only in their coupling: their generators are built and decomposed
+    # as stacks, and each angle's echo reads its own member.
+    signals = []
+    for block in _member_blocks(len(systems), systems[0].dimension):
+        mats = _generator_stack(systems[0], couplings[block, None, :])
+        spectra = _decompose_stack(mats, _sweep_member(block, len(systems)))
+        for b, sys in enumerate(systems[block]):
+            op = Superoperator(mat=mats[b], kind=KIND_GENERATOR, system=sys)
+            signals.append(echo_signal(sys, times, sd=spectra.member(b, op)))
+    rows = np.column_stack([np.repeat(thetas, len(times)), np.tile(times, len(thetas)),
+                            np.concatenate(signals)])
     return ResultTable(
         name="echo",
         columns=("theta", "t", "signal"),
         units=("rad", "1/B0", "1"),
-        rows=np.array(rows),
+        rows=rows,
         config=cfg,
     )
 

@@ -268,7 +268,8 @@ def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None
     if sd is None:
         sd = spectral_decomposition(decoherence_generator(sys))
     steps = [("pulse", half), ("free", seg), ("pulse", flip), ("free", seg), ("pulse", half)]
-    return _compose(sd, steps)[:, 2, 2].copy()
+    # Only the z preparation column is carried through the schedule.
+    return _compose(sd, steps, sd.operator.boundary[1][:, 2:])[:, 2, 0].copy()
 
 
 def sequence_operator(
@@ -297,4 +298,4 @@ def sequence_operator(
         steps.append(("free", t_final - cursor))
     if sd is None:
         sd = spectral_decomposition(decoherence_generator(sys))
-    return _compose(sd, steps)[0]
+    return _compose(sd, steps, sd.operator.boundary[1])[0]

@@ -172,17 +172,13 @@ def _rate_resolution(condition, defective, scale) -> np.ndarray:
     return np.where(defective, np.fmax(bound, 1e-9), 1e-9)
 
 
-# Two infinite rates differ by NaN: they are not near, and their spread is not above near.
-@np.errstate(invalid="ignore")
-def _select_rates(mode_rates: np.ndarray, weights: np.ndarray, near=None,
-                  name=None) -> _RateStack:
-    """The selection of ``channel_rates_from_modes`` for a stack of B members.
+def _eligible_modes(mode_rates: np.ndarray, weights: np.ndarray, name=None):
+    """Channel weights and eligible modes of a stack, each ``(B, 4, d)`` for x, y, z, xy.
 
-    ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``.  Each channel's
-    eligible modes are sorted by ``(rate, weight)`` and grouped left to right: a
-    rate joins the open group when it lies within ``near[b]`` (by default 1e-9,
-    see ``_rate_resolution``) of that group's first rate.  The group weights are
-    summed left to right.  A member whose weights are NaN has no left vectors
+    ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``; the xy weights are the
+    azimuthal average ``(w_x + w_y) / 2``.  A mode is eligible in a channel when its
+    weight exceeds ``WEIGHT_REL_THRESHOLD`` times the channel's largest and its rate
+    exceeds ``ZERO_MODE_THRESHOLD``.  A member whose weights are NaN has no left vectors
     (its eigenvector matrix could not be inverted) and raises
     ``EigendecompositionError``, named by ``name(b)`` ("member b of B" by default).
     """
@@ -193,12 +189,42 @@ def _select_rates(mode_rates: np.ndarray, weights: np.ndarray, near=None,
         raise EigendecompositionError(
             f"no left eigenvectors: the eigenvector matrix is singular ({name(b)})"
         )
+    w = np.concatenate([weights, 0.5 * (weights[:, :1] + weights[:, 1:2])], axis=1)
+    eligible = ((w > WEIGHT_REL_THRESHOLD * w.max(axis=2, keepdims=True))
+                & (mode_rates[:, None, :] > ZERO_MODE_THRESHOLD))
+    return w, eligible
+
+
+def _smallest_rates(mode_rates: np.ndarray, weights: np.ndarray, name=None) -> np.ndarray:
+    """The ``rates`` of ``_select_rates`` alone, shape ``(B, 4)``.
+
+    Each is its channel's smallest eligible rate, or 0 where no mode is eligible;
+    the grouping that decides the ambiguity flags is skipped.
+    """
+    _, eligible = _eligible_modes(mode_rates, weights, name)
+    smallest = np.where(eligible, mode_rates[:, None, :], np.inf).min(axis=2)
+    return np.where(eligible.any(axis=2), smallest, 0.0)
+
+
+# Two infinite rates differ by NaN: they are not near, and their spread is not above near.
+@np.errstate(invalid="ignore")
+def _select_rates(mode_rates: np.ndarray, weights: np.ndarray, near=None,
+                  name=None) -> _RateStack:
+    """The selection of ``channel_rates_from_modes`` for a stack of B members.
+
+    ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``.  Each channel's
+    eligible modes are sorted by ``(rate, weight)`` and grouped left to right: a
+    rate joins the open group when it lies within ``near[b]`` (by default 1e-9,
+    see ``_rate_resolution``) of that group's first rate.  The group weights are
+    summed left to right.  Eligibility, and the raise for a member without left
+    vectors, are those of ``_eligible_modes``.
+    """
+    w, eligible = _eligible_modes(mode_rates, weights, name)
     # One row per member and channel x, y, z, xy.
     near = np.repeat(np.full(len(weights), 1e-9) if near is None else near, 4)[:, None]
-    w = np.concatenate([weights, 0.5 * (weights[:, :1] + weights[:, 1:2])], axis=1)
     n_rows, n_modes = 4 * len(w), w.shape[2]
-    w, r = w.reshape(n_rows, n_modes), np.repeat(mode_rates, 4, axis=0)
-    eligible = (w > WEIGHT_REL_THRESHOLD * w.max(axis=1, keepdims=True)) & (r > ZERO_MODE_THRESHOLD)
+    w, eligible = w.reshape(n_rows, n_modes), eligible.reshape(n_rows, n_modes)
+    r = np.repeat(mode_rates, 4, axis=0)
     # Eligible modes first, each row in (rate, weight) order; ``take`` reads flat indices.
     row = np.arange(n_rows)[:, None]
     order = np.lexsort((w, r, ~eligible), axis=1) + n_modes * row
@@ -377,8 +403,8 @@ def angle_sweep(
         name = _sweep_member(block, len(theta_grid))
         spectra = _decompose_stack(_generator_stack(sys, couplings[block, None, :]), name)
         weights = _mode_weights(boundary, spectra.right_vectors, spectra.left_vectors)
-        # Only the rates are kept, and grouping moves only the ambiguity flags.
-        selected = _select_rates(spectra.eigenvalues.real, weights, name=name).rates
+        # Only the rates are kept: the grouping decides only the ambiguity flags.
+        selected = _smallest_rates(spectra.eigenvalues.real, weights, name)
         rz[block], rxy[block] = selected[:, 2], selected[:, 3]
     rstar = np.full_like(theta_grid, np.nan)
     if eta == 0.0:

@@ -12,8 +12,9 @@ space (N fluctuators).  Two operators matter:
 
 Every observable is one boundary contraction over fluctuator indices,
 ``readout . (exp(-t_k * generator) segments and I (x) R pulses) . prepare``;
-one engine here applies these factors to the ``d x 3`` preparation block over
-a time grid, and the free transfer matrix T(t) is its one-segment case.
+one engine here applies these factors, over a time grid, to the columns of the
+``d x 3`` preparation map that a caller reads (all three for a transfer matrix, the
+z column for the echo), and the free transfer matrix T(t) is its one-segment case.
 
 Basis ordering is fluctuator-major: index = 3 * (fluctuator state
 index) + Bloch index (x=0, y=1, z=2), with level ``s=+1`` enumerated
@@ -430,19 +431,21 @@ def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0) & (times < np.inf)):  # NaN fails this too
         raise ValueError("times must be >= 0 and not NaN or infinite")
-    out = _compose(sd, [("free", times)]).copy()
+    out = _compose(sd, [("free", times)], sd.operator.boundary[1]).copy()
     out[times == 0.0] = np.eye(3)
     return out
 
 
-def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
-    """Real ``T x 3 x 3`` transfer matrices of a schedule (T = 1 without a grid).
+def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarray:
+    """Real ``T x 3 x m`` transfer columns of a schedule (T = 1 without a grid).
 
     ``steps`` lists in order of action ``("free", t)``, t a duration or a grid
     of T durations, and ``("pulse", R)``, R a 3x3 rotation of the Bloch index.
+    ``prepare`` holds the m columns of the preparation map the caller reads,
+    all three for a transfer matrix; each factor costs in proportion to m.
     """
-    readout, prepare = sd.operator.boundary
-    d = sd.dimension
+    readout = sd.operator.boundary[0]
+    d, m = prepare.shape
     spectral = not sd.defective
     # The spectral form runs the whole grid in one pass.  The expm fallback runs one grid
     # point per pass (none for an empty grid) and holds only that point's propagators,
@@ -450,9 +453,9 @@ def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
     n_times = max([np.size(t) for kind, t in steps if kind == "free"], default=1)
     passes = [np.empty((d, 0))]
     for i in range(1 if spectral else n_times):
-        # The block is d x (T * 3), so each factor is one matrix product.  A spectral
+        # The block is d x (T * m), so each factor is one matrix product.  A spectral
         # free step leaves it in eigen-coordinates with its d x T decay kept apart
-        # until the next pulse or the readout: a free grid never builds d x T x 3.
+        # until the next pulse or the readout: a free grid never builds d x T x m.
         block, decay, propagators = prepare, None, {}
         for kind, value in steps:
             if kind == "free" and spectral:
@@ -464,7 +467,7 @@ def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
                     decay = decay * factor
                 continue
             if decay is not None:
-                coeffs = decay[:, :, None] * block.reshape(d, -1, 3)
+                coeffs = decay[:, :, None] * block.reshape(d, -1, m)
                 block, decay = sd.right_vectors @ coeffs.reshape(d, -1), None
             if kind == "pulse":
                 block = (value @ block.reshape(d // 3, 3, -1)).reshape(d, -1)
@@ -475,13 +478,13 @@ def _compose(sd: SpectralDecomposition, steps) -> np.ndarray:
                 block = propagators[t] @ block
         if decay is not None:
             modes = readout @ sd.right_vectors
-            if block.shape[1] == 3:
-                # One column group: the d x 9 weights W[k, 3c + j] = modes[c, k] block[k, j]
+            if block.shape[1] == m:
+                # One column group: the d x 3m weights W[k, m c + j] = modes[c, k] block[k, j]
                 # read the whole grid out in one product, decay.T @ W.
-                weights = (modes.T[:, :, None] * block[:, None, :]).reshape(d, 9)
-                return _real_transfer((decay.T @ weights).reshape(-1, 3, 3))
-            coeffs = block.reshape(d, -1, 3)
+                weights = (modes.T[:, :, None] * block[:, None, :]).reshape(d, 3 * m)
+                return _real_transfer((decay.T @ weights).reshape(-1, 3, m))
+            coeffs = block.reshape(d, -1, m)
             return _real_transfer(np.einsum("ck,kt,ktj->tcj", modes, decay, coeffs))
         passes.append(block)
     transfer = readout @ np.concatenate(passes, axis=1)
-    return _real_transfer(transfer.reshape(3, -1, 3).transpose(1, 0, 2))
+    return _real_transfer(transfer.reshape(3, -1, m).transpose(1, 0, 2))

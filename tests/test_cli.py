@@ -8,7 +8,9 @@ from click.testing import CliRunner
 
 from qtel import cli, dynamics
 from qtel.cli import ConfigError, ExperimentConfig, presets, run, main
-from qtel.superop import ContractionError, discrete_transfer_operator
+from qtel.dynamics import echo_signal
+from qtel.superop import (ContractionError, decoherence_generator, discrete_transfer_operator,
+                          spectral_decomposition)
 
 # Every preset on a grid small enough for the suite, keeping its experiment and parameters.
 SHRUNK = {
@@ -254,6 +256,43 @@ class TestRun:
                                 rows=values, config=cfg)
         lines = ["a,b,c,d", "1,1,1,1"] + [",".join(f"{v:.17g}" for v in row) for row in values]
         assert table.csv_text() == "\n".join(lines) + "\n"
+
+    def test_csv_repeated_columns_match_per_value_format(self, rng):
+        # Sweep-grid columns repeat their values.  -0.0 and 0.0 share a column and must
+        # not merge, which matching by == would do; nan, inf and -inf repeat too.
+        grid = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1e-300])
+        rows = np.column_stack([np.repeat(grid, 3), np.tile(grid, 3), rng.normal(size=21),
+                                np.repeat([0.0, -0.0, 5e-324], 7)])
+        cfg = ExperimentConfig.from_dict(presets()["fig2"])
+        # The whole table, one row (as enum-verify writes) and one column.
+        for values in (rows, rows[:1], rows[:, :1], rows[:, 1:2]):
+            columns = tuple("abcd"[:values.shape[1]])
+            table = cli.ResultTable(name="t", columns=columns, units=("1",) * len(columns),
+                                    rows=values, config=cfg)
+            lines = [",".join(columns), ",".join(["1"] * len(columns))]
+            lines += [",".join(f"{v:.17g}" for v in row) for row in values]
+            assert table.csv_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_echo_stack_equals_per_angle_signals(self, monkeypatch, split):
+        # With g = gamma, theta 0 is an exceptional point: that member is flagged defective
+        # and runs expm, the others run the spectral form, all from one stacked eigensolve
+        # (or, in stacks of two, from the second stack).
+        if split:
+            monkeypatch.setattr(cli, "_member_blocks",
+                                lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        cfg = ExperimentConfig.from_dict({"experiment": "echo", "g": 0.1, "gamma": 0.1,
+                                          "theta_values": [0.7, 1.2, 0.0],
+                                          "t_max": 40.0, "t_points": 41})
+        table = cli._run_echo(cfg)
+        times = np.linspace(0.0, cfg.t_max, cfg.t_points)
+        for k, theta in enumerate(cfg.theta_values):
+            sys = cfg.system(g_vector=cfg.g * np.array([math.sin(theta), 0.0, math.cos(theta)]))
+            assert spectral_decomposition(decoherence_generator(sys)).defective == (theta == 0.0)
+            rows = table.rows[k * len(times):(k + 1) * len(times)]
+            assert np.array_equal(rows[:, 0], np.full(len(times), theta))
+            assert np.array_equal(rows[:, 1], times)
+            assert np.array_equal(rows[:, 2], echo_signal(sys, times))
 
     def test_enum_verify_rejects_complex_reference(self, tmp_path, monkeypatch):
         # The powered step is contracted through the same imaginary-part check as the engine.

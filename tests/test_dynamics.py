@@ -356,17 +356,19 @@ class TestSequenceOperator:
         assert_allclose(composed, result.transfer, atol=1e-12)
 
     def test_echo_schedule_matches_echo_signal(self, strong_mixed_system):
-        t = 7.3
-        seq = PulseSequence(
-            events=(
-                (0.0, X_AXIS, np.pi / 2),
-                (t / 2, X_AXIS, np.pi),
-                (t, X_AXIS, np.pi / 2),
-            ),
-        )
-        composed = sequence_operator(strong_mixed_system, seq, t)
-        signal = echo_signal(strong_mixed_system, [t])
-        assert abs(composed[2, 2] - signal[0]) < 1e-12
+        # The echo carries only the z preparation column; a schedule carries all three.
+        times = np.array([0.0, 0.4, 7.3, 21.0])
+        for sys in (strong_mixed_system, two_fluctuator_system(), mixed_fluctuator_system(3)):
+            signal = echo_signal(sys, times)
+            for t, s in zip(times, signal):
+                seq = PulseSequence(
+                    events=(
+                        (0.0, X_AXIS, np.pi / 2),
+                        (t / 2, X_AXIS, np.pi),
+                        (t, X_AXIS, np.pi / 2),
+                    ),
+                )
+                assert abs(sequence_operator(sys, seq, t)[2, 2] - s) < 1e-13
 
     def test_pulse_and_inverse_cancel(self, strong_mixed_system):
         t = 3.0

@@ -235,11 +235,20 @@ class TestStackedSelection:
         assert "x-rate-ambiguous" in got.flags
         assert got.flags == reference_channel_rates(mode_rates, weights)[1]
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_rates_alone_equal_the_selection(self, rng, d):
+        mode_rates, weights = selection_cases(rng, d=d)
+        mode_rates[0] = 0.0  # only conserved modes: no channel has an eligible one
+        want = _select_rates(mode_rates, weights).rates
+        assert np.all(want[0] == 0.0)
+        assert np.array_equal(rates._smallest_rates(mode_rates, weights), want)
+
     def test_member_without_left_vectors_is_named(self, rng):
-        rates, weights = selection_cases(rng, n_cases=3)
+        mode_rates, weights = selection_cases(rng, n_cases=3)
         weights[1, :, 0] = np.nan  # what a failed inversion leaves
-        with pytest.raises(EigendecompositionError, match="member 1 of 3"):
-            _select_rates(rates, weights)
+        for select in (_select_rates, rates._smallest_rates):
+            with pytest.raises(EigendecompositionError, match="member 1 of 3"):
+                select(mode_rates, weights)
 
     def test_resolution_widens_only_defective_members(self):
         eps = np.finfo(float).eps
