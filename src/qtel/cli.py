@@ -237,14 +237,25 @@ class ResultTable:
         # 17 significant digits: lossless round-trip for IEEE doubles.  The rows go through
         # one % over a repeated row template.  A column that repeats values, such as a sweep
         # grid, enters as text with each distinct value formatted once; values match by bit
-        # pattern, so -0.0 and 0.0 stay apart.
+        # pattern, so -0.0 and 0.0 stay apart.  One argsort over the repeated columns, laid
+        # out as flat rows, gives each one's distinct values and every row's index among them.
         cells, formats = self.rows.astype(object), ["%.17g"] * len(self.columns)
         bits = self.rows.view(np.int64)
         ordered = np.sort(bits, axis=0)
-        for j in np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0)):
-            distinct, index = np.unique(bits[:, j], return_inverse=True)
+        repeated = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
+        if repeated.size:
+            columns = bits.T[repeated]
+            order = np.argsort(columns, axis=1) + columns.shape[1] * np.arange(len(repeated))[:, None]
+            values = columns.ravel()[order]
+            opens = np.ones(values.shape, bool)  # the first of each run of equal values
+            opens[:, 1:] = values[:, 1:] != values[:, :-1]
+            index = np.empty(columns.size, np.intp)
+            index[order] = np.cumsum(opens, axis=1) - 1
+            index = index.reshape(columns.shape)
+        for k, j in enumerate(repeated):
+            distinct = values[k, opens[k]]
             text = "\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(float).tolist())
-            cells[:, j] = np.array(text.split("\n"), dtype=object)[index]
+            cells[:, j] = np.array(text.split("\n"), dtype=object)[index[k]]
             formats[j] = "%s"
         body = "".join(["\n" + ",".join(formats)] * len(self.rows)) % tuple(cells.ravel().tolist())
         return ",".join(self.columns) + "\n" + ",".join(self.units) + body + "\n"

@@ -57,6 +57,17 @@ FRAME_ROTATING = "rotating"
 _AXES = {"x": np.array([1.0, 0.0, 0.0]), "y": np.array([0.0, 1.0, 0.0])}
 
 
+def _fixed_pulse(axis: str, angle: float) -> np.ndarray:
+    pulse = rotation_matrix(_AXES[axis], angle)
+    pulse.setflags(write=False)
+    return pulse
+
+
+# The bang-bang and echo pulses, built once by rotation_matrix with the same bits.
+_PI_PULSES = {axis: _fixed_pulse(axis, np.pi) for axis in _AXES}
+_HALF_PI_X = _fixed_pulse("x", np.pi / 2.0)
+
+
 @dataclass(frozen=True)
 class BlochTrajectory:
     """Sampled Bloch-vector evolution.
@@ -178,12 +189,16 @@ def bang_bang_operator(
     modes ``readout @ V`` and coefficients ``V^-1 @ prepare``, from the maps
     ``sd.operator.boundary`` that every ``tau`` shares, the pulsed decay rates
     follow from the eigenvalues ``mu`` and the weights ``|modes * coeffs.T|``,
-    and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``.  A period
+    and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``, taken as the
+    real part of its sum over each real ``mu`` and each conjugate pair.  A period
     flagged defective degrades instead of raising: its transfer is
     ``readout @ U**n_pulses @ prepare`` by matrix power, and its rates, still
-    from the weights, carry the ``near-defective`` flag.  The period is real:
-    its imaginary roundoff is checked against ``IMAG_TOL`` and dropped, so the
-    real eigensolver runs.
+    from the weights, carry the ``near-defective`` flag.  The period is real by
+    construction, ``(V_r B(tau)) @ V_r^-1`` from the generator's pair form, so the
+    real eigensolver runs.  Neither it nor the transfer is checked for an
+    imaginary part: the roundoff the pair form drops is bounded by the
+    unchanged defective gate of both decompositions, ``condition * eps <=
+    IMAG_TOL``.
 
     ``tau`` may also be a 1-d array of spacings, which returns a tuple with
     one result per spacing.  Their periods all come from the one generator
@@ -218,10 +233,9 @@ def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
     ``V diag(e^{-lambda tau}) V^-1`` followed by ``I (x) R``.  ``name(b)``
     names member b in errors.
     """
-    pulse = rotation_matrix(_AXES[axis], np.pi)
     # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
     free = _real_transfer(_exp_generator(sd, taus))
-    periods = (free.reshape(-1, 3) @ pulse).reshape(free.shape)
+    periods = (free.reshape(-1, 3) @ _PI_PULSES[axis]).reshape(free.shape)
     spectra = _decompose_stack(periods, name)
     mu = spectra.eigenvalues
     with np.errstate(divide="ignore"):
@@ -231,12 +245,15 @@ def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
     modes, coeffs = readout @ spectra.right_vectors, spectra.left_vectors @ prepare
     near = _rate_resolution(spectra.condition, spectra.defective, 1.0 / taus)
     rates = _select_rates(candidate_rates, np.abs(modes * coeffs.transpose(0, 2, 1)), near, name)
-    transfer = (modes * (mu**n_pulses)[:, None, :]) @ coeffs
+    # One power per real eigenvalue and per pair (its Im > 0 member, counted twice): the
+    # pair's other member adds the complex conjugate, so the transfer is the real part.
+    powers = np.power(mu, n_pulses, out=np.zeros_like(mu), where=mu.imag >= 0)
+    powers[mu.imag > 0] *= 2.0
+    transfer = ((modes * powers[:, None, :]) @ coeffs).real
     defective = spectra.defective
     if defective.any():
         powered = np.linalg.matrix_power(periods[defective], n_pulses)
         transfer[defective] = readout @ powered @ prepare
-    transfer = _real_transfer(transfer)
     return [
         BangBangResult(
             transfer=transfer[b],
@@ -263,10 +280,9 @@ def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None
     seg = 0.5 * np.asarray(t_grid, dtype=float)
     if not np.all((seg >= 0) & (seg < np.inf)):  # NaN fails this too
         raise ValueError("echo times must be >= 0 and not NaN or infinite")
-    half = rotation_matrix(_AXES["x"], np.pi / 2.0)
-    flip = rotation_matrix(_AXES["x"], np.pi)
     if sd is None:
         sd = spectral_decomposition(decoherence_generator(sys))
+    half, flip = _HALF_PI_X, _PI_PULSES["x"]
     steps = [("pulse", half), ("free", seg), ("pulse", flip), ("free", seg), ("pulse", half)]
     # Only the z preparation column is carried through the schedule.
     return _compose(sd, steps, sd.operator.boundary[1][:, 2:])[:, 2, 0].copy()

@@ -16,6 +16,18 @@ one engine here applies these factors, over a time grid, to the columns of the
 ``d x 3`` preparation map that a caller reads (all three for a transfer matrix, the
 z column for the echo), and the free transfer matrix T(t) is its one-segment case.
 
+Every operator the library builds is real, so its complex eigenpairs come in
+conjugate pairs, which LAPACK returns next to each other, the member with
+``Im lambda > 0`` first, as two real columns ``Re v`` and ``Im v``.  Everything
+after the eigensolver runs on this real pair form: ``V_r`` holds those columns,
+``L_r = V_r^-1``, and ``exp(-t P) = V_r B(t) L_r`` with ``B(t)`` block diagonal,
+``exp(-lambda t)`` for a real eigenvalue and, for a pair ``alpha +- i beta``
+(``beta > 0``), the scaled rotation
+``exp(-alpha t) [[cos beta t, -sin beta t], [sin beta t, cos beta t]]``.  A
+contraction takes one exponential per real eigenvalue and per pair, and its
+result is real by construction.  The complex ``right_vectors`` and
+``left_vectors`` of a decomposition are the pair form unpacked, in O(d^2).
+
 Basis ordering is fluctuator-major: index = 3 * (fluctuator state
 index) + Bloch index (x=0, y=1, z=2), with level ``s=+1`` enumerated
 first for each fluctuator.
@@ -53,15 +65,18 @@ KIND_GENERATOR = "generator"
 # Residual gate for eigenpairs, ||P v - lam v|| over a lower bound on ||P||_2.
 RESIDUAL_TOL = 1e-10
 
-# Absolute bound on the imaginary part of the contracted 3x3 transfer
-# matrix; larger values indicate an internal inconsistency.
+# Absolute bound on the roundoff a transfer matrix may carry off the reals: the
+# imaginary part that the complex spectral form would leave, and the one a complex
+# operator's transfer is checked against.
 IMAG_TOL = 1e-10
 
 # Eigenvector-matrix condition bound (Frobenius) beyond which the decomposition
 # is treated as (near-)defective.  Roundoff in the spectral form grows like
-# condition * eps, so past IMAG_TOL / eps (about 4.5e5) it could fail the readout
-# check: exp(-t P) is then formed by scaling-and-squaring and a bang-bang period
-# by its matrix power.  Rates still come from the spectral weights.
+# condition * eps, so past IMAG_TOL / eps (about 4.5e5) it could exceed IMAG_TOL:
+# exp(-t P) is then formed by scaling-and-squaring and a bang-bang period by its
+# matrix power.  Below it, the pair form's real results drop no more than the
+# imaginary roundoff the complex form would carry, condition * eps <= IMAG_TOL.
+# Rates still come from the spectral weights.
 DEFECTIVE_CONDITION = IMAG_TOL / np.finfo(float).eps
 
 
@@ -123,6 +138,11 @@ class SpectralDecomposition:
     the right vectors V; above ``DEFECTIVE_CONDITION`` the matrix is flagged
     defective, so propagators are formed by ``expm`` instead of from the modes.
     ``left_vectors`` is None when V could not be inverted (``condition = inf``).
+
+    For a real operator both are unpacked from the real pair form: a conjugate
+    pair's columns of V, and its rows of the left vectors, are exact conjugates,
+    the member with ``Im lambda > 0`` first.  The left rows are
+    ``0.5 (r_a -+ i r_b)`` from rows ``r_a, r_b`` of the real inverse ``V_r^-1``.
     """
 
     eigenvalues: np.ndarray
@@ -263,40 +283,126 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
     that member defective.  When the stacked inversion fails, the members are
     inverted one by one, so only a singular member gets ``condition = inf``.
     ``name(b)`` names member b in the error; by default it is "member b of B".
+
+    A real stack runs every step after the eigensolver on the pair form: the
+    residual ``P V_r - V_r Lambda_r``, with ``Lambda_r`` holding the 2x2 block
+    ``[[alpha, beta], [-beta, alpha]]`` of each pair, the inverse ``V_r^-1`` and the
+    condition are all ``float64``.  A member whose eigenvalues are not in adjacent
+    exact conjugate pairs raises instead of being mis-paired.  A complex stack has
+    no pairs and runs the same steps on its complex vectors.
     """
     if not np.all(np.isfinite(mats)):
         raise ValueError("operator entries must be finite")
+    name = name or _sweep_member(slice(0, len(mats)), len(mats))
     try:
         eigenvalues, right = np.linalg.eig(mats)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigendecompositionError(f"eigensolver failed to converge: {exc}") from exc
     # A real stack whose eigenvalues are all real comes back real.
     eigenvalues, right = eigenvalues.astype(complex, copy=False), right.astype(complex, copy=False)
+    if np.iscomplexobj(mats):
+        first = second = np.zeros(eigenvalues.shape, bool)
+        packed, diagonal = right, eigenvalues
+    else:
+        first, second = _pair_layout(eigenvalues, name)
+        packed, diagonal = _pack_columns(right, second), eigenvalues.real
 
+    # Column k of the residual is (P V_r - V_r Lambda_r)_k: column a of a pair gains
+    # beta V_r[:, b] and column b loses beta V_r[:, a].  The two are the real and imaginary
+    # parts of the pair's complex residual, whose norm column a takes.
     scale = np.maximum(np.linalg.norm(mats, axis=-2).max(axis=-1), np.abs(eigenvalues).max(axis=-1))
-    residuals = np.linalg.norm(mats @ right - right * eigenvalues[:, None, :], axis=-2).max(axis=-1)
-    max_residual = residuals / np.where(scale > 0, scale, 1.0)
+    residual = mats @ packed
+    residual -= packed * diagonal[:, None, :]
+    beta = (eigenvalues.imag * first)[:, None, :]
+    residual[..., :-1] += packed[..., 1:] * beta[..., :-1]
+    residual[..., 1:] -= packed[..., :-1] * beta[..., :-1]
+    norms = np.linalg.norm(residual, axis=-2)
+    del residual
+    np.hypot(norms[..., :-1], norms[..., 1:], out=norms[..., :-1], where=first[..., :-1])
+    max_residual = norms.max(axis=-1) / np.where(scale > 0, scale, 1.0)
     failed = np.flatnonzero(max_residual > RESIDUAL_TOL)
     if failed.size:
         b = failed[0]
-        name = name or _sweep_member(slice(0, len(mats)), len(mats))
         raise EigendecompositionError(
             f"eigenpair residual {max_residual[b]:.3e} exceeds {RESIDUAL_TOL:.1e} ({name(b)})"
         )
 
     try:
-        left = np.linalg.inv(right)
+        inverse = np.linalg.inv(packed)
     except np.linalg.LinAlgError:
-        left = np.full_like(right, np.nan)
-        for b, vectors in enumerate(right):
+        inverse = np.full_like(packed, np.nan)
+        for b, vectors in enumerate(packed):
             try:
-                left[b] = np.linalg.inv(vectors)
+                inverse[b] = np.linalg.inv(vectors)
             except np.linalg.LinAlgError:
                 pass
-    condition = np.linalg.norm(right, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
+    del packed
+    left = inverse if np.iscomplexobj(inverse) else _complex_rows(inverse, first, second)
+    del inverse
+    condition = np.sqrt(_frobenius_squared(right)) * np.sqrt(_frobenius_squared(left))
     condition[np.isnan(condition)] = np.inf
     defective = ~np.isfinite(condition) | (condition > DEFECTIVE_CONDITION)
     return _Spectra(eigenvalues, right, left, condition, defective, max_residual)
+
+
+def _pair_layout(eigenvalues: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of each conjugate pair's first (``Im > 0``) and second member, ``(B, d)`` each.
+
+    The second member must directly follow the first and be its exact conjugate,
+    as LAPACK returns a real matrix's pairs; a member that breaks this raises
+    ``EigendecompositionError``, named by ``name(b)``.
+    """
+    first, second = eigenvalues.imag > 0, eigenvalues.imag < 0
+    conjugate = eigenvalues[..., 1:] == eigenvalues[..., :-1].conj()
+    broken = ((second[..., 1:] != first[..., :-1]) | (second[..., 1:] & ~conjugate)).any(axis=-1)
+    broken |= second[..., 0] | first[..., -1]
+    if broken.any():
+        b = int(np.argmax(broken))
+        raise EigendecompositionError(
+            "complex eigenvalues are not in adjacent conjugate pairs, Im > 0 first, "
+            f"so the real pair form cannot be built ({name(b)})"
+        )
+    return first, second
+
+
+def _pack_columns(z: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Real columns of the pair form: a pair's columns a, a + 1 take Re and Im of column a.
+
+    ``second`` marks each pair's second column, whose entries are not read; every
+    other column keeps its real part.  Applied to the right vectors V this gives
+    ``V_r``, and to ``V * exp(-lambda t)`` the product ``V_r B(t)``.
+    """
+    out = z.real.copy()
+    np.copyto(out[..., 1:], z.imag[..., :-1], where=second[..., None, 1:])
+    return out
+
+
+def _packed_rows(left: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """``L_r = V_r^-1`` from the complex left rows: a pair's rows are ``2 Re l_a`` and ``-2 Im l_a``."""
+    first, second = eigenvalues.imag > 0, eigenvalues.imag < 0
+    out = left.real * np.where(first | second, 2.0, 1.0)[..., :, None]
+    np.multiply(left.imag[..., :-1, :], -2.0, out=out[..., 1:, :], where=second[..., 1:, None])
+    return out
+
+
+def _complex_rows(inverse: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Complex left rows from ``L_r``: a pair's rows a, a + 1 are ``0.5 (r_a -+ i r_{a+1})``.
+
+    The two rows of a pair are exact conjugates.
+    """
+    left = np.empty(inverse.shape, complex)
+    np.multiply(inverse, np.where(first | second, 0.5, 1.0)[..., :, None], out=left.real)
+    np.multiply(inverse, np.where(second, 0.5, 0.0)[..., :, None], out=left.imag)
+    starts = first[..., :-1, None]
+    np.multiply(inverse[..., :-1, :], 0.5, out=left.real[..., 1:, :], where=starts)
+    np.multiply(inverse[..., 1:, :], -0.5, out=left.imag[..., :-1, :], where=starts)
+    return left
+
+
+def _frobenius_squared(z: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a complex stack, with no complex temporary."""
+    return (np.einsum("...ij,...ij->...", z.real, z.real)
+            + np.einsum("...ij,...ij->...", z.imag, z.imag))
 
 
 def _member_blocks(n_members: int, dim: int) -> list[slice]:
@@ -362,21 +468,40 @@ def _mode_weights(boundary, right_vectors: np.ndarray, left_vectors: np.ndarray)
     return np.abs((readout @ right_vectors) * np.swapaxes(left_vectors @ prepare, -1, -2))
 
 
+def _modal(sd: SpectralDecomposition) -> bool:
+    """Whether propagators come from the modes in the pair form.
+
+    They do for a real operator not flagged defective.  A defective one, and a
+    complex one, which the library never builds, take ``expm``.
+    """
+    return not sd.defective and not np.iscomplexobj(sd.operator.mat)
+
+
 def _exp_generator(sd: SpectralDecomposition, t) -> np.ndarray:
-    """exp(-t * generator) via the spectral decomposition or expm fallback.
+    """exp(-t * generator) as ``(V_r B(t)) @ L_r``, or by expm for a non-modal ``sd``.
 
     A scalar ``t`` gives one ``d x d`` propagator, an array of times the stack
-    ``t.shape + (d, d)``.
+    ``t.shape + (d, d)``; the modal one is real by construction.
     """
-    if not sd.defective:
-        decay = np.exp(-sd.eigenvalues * np.expand_dims(t, -1))
-        return (sd.right_vectors * decay[..., None, :]) @ sd.left_vectors
+    if _modal(sd):
+        lam = sd.eigenvalues
+        decay = np.exp(-lam * np.expand_dims(t, -1))
+        scaled = _pack_columns(sd.right_vectors * decay[..., None, :], lam.imag < 0)
+        return scaled @ _packed_rows(sd.left_vectors, lam)
     full = [scipy.linalg.expm(-s * sd.operator.mat) for s in np.ravel(t)]
     return np.reshape(full, np.shape(t) + sd.operator.mat.shape)
 
 
 def _real_transfer(transfer: np.ndarray) -> np.ndarray:
-    """Real part of a contracted transfer or a bang-bang period, imaginary part checked."""
+    """A transfer or a bang-bang period as ``float64``, the imaginary part of a complex one checked.
+
+    A real operator's results are real by construction, so this reads nothing on
+    their path; the roundoff the pair form drops there is bounded by the defective
+    gate, ``condition * eps <= IMAG_TOL``.  It checks the results of a complex
+    operator, and the enumeration reference of the CLI.
+    """
+    if not np.iscomplexobj(transfer):
+        return transfer
     max_imag = float(np.abs(transfer.imag).max(initial=0.0))
     if not max_imag <= IMAG_TOL:
         raise ContractionError(
@@ -446,45 +571,71 @@ def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarra
     """
     readout = sd.operator.boundary[0]
     d, m = prepare.shape
-    spectral = not sd.defective
-    # The spectral form runs the whole grid in one pass.  The expm fallback runs one grid
-    # point per pass (none for an empty grid) and holds only that point's propagators,
-    # so equal durations there, such as the two halves of an echo, share one expm.
+    if not _modal(sd):
+        return _compose_expm(sd, steps, prepare)
+    # Only each real eigenvalue's mode and each pair's Im > 0 mode are carried: the pair's
+    # other mode adds the complex conjugate, so a pair's left row counts twice and every
+    # result is the real part of the sum.
+    half = sd.eigenvalues.imag >= 0
+    lam = sd.eigenvalues[half]
+    twice = np.where(lam.imag > 0, 2.0, 1.0)[:, None]
+    h = len(lam)
+    # Only a pulse takes a block back to the state basis, through these h columns of V;
+    # a free grid copies no d x h part of the vectors, so at N = 8 it stays within the
+    # memory of its decomposition.
+    if any(kind == "pulse" for kind, _ in steps):
+        right = sd.right_vectors[:, half]
+    # The block is d x (T * m), so each factor is one matrix product.  A free step leaves
+    # it in these h mode coordinates with its T x h decay kept apart until the next pulse
+    # or the readout: a free grid never builds d x T x m.
+    block, decay = prepare, None
+    for kind, value in steps:
+        if kind == "free":
+            factor = np.exp(np.multiply.outer(-np.ravel(value), lam))
+            if decay is None:
+                block, decay = (sd.left_vectors @ block)[half] * twice, factor
+            else:
+                decay = decay * factor
+            continue
+        if decay is not None:
+            coeffs = decay.T[:, :, None] * block.reshape(h, -1, m)
+            block, decay = (right @ coeffs.reshape(h, -1)).real, None
+        block = (value @ block.reshape(d // 3, 3, -1)).reshape(d, -1)
+    if decay is None:
+        return (readout @ block).reshape(3, -1, m).transpose(1, 0, 2)
+    modes = (readout @ sd.right_vectors)[:, half]
+    if block.shape[1] == m:
+        # One column group: T(t) = Re sum_k exp(-lambda_k t) W_k over the h modes, with
+        # W[k, m c + j] = modes[c, k] block[k, j]; the real and imaginary parts of the
+        # decay and of W make it one real product over 2h.
+        weights = (modes.T[:, :, None] * block[:, None, :]).reshape(h, 3 * m)
+        stacked = np.stack([weights.real, -weights.imag], axis=1).reshape(-1, 3 * m)
+        return (decay.view(float) @ stacked).reshape(-1, 3, m)
+    coeffs = block.reshape(h, -1, m)
+    return np.einsum("ck,tk,ktj->tcj", modes, decay, coeffs).real
+
+
+def _compose_expm(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarray:
+    """``_compose`` with every free step's propagator formed by ``expm``.
+
+    It runs one grid point per pass (none for an empty grid) and holds only that
+    point's propagators, so equal durations, such as the two halves of an echo,
+    share one expm.
+    """
+    readout = sd.operator.boundary[0]
+    d, m = prepare.shape
     n_times = max([np.size(t) for kind, t in steps if kind == "free"], default=1)
     passes = [np.empty((d, 0))]
-    for i in range(1 if spectral else n_times):
-        # The block is d x (T * m), so each factor is one matrix product.  A spectral
-        # free step leaves it in eigen-coordinates with its d x T decay kept apart
-        # until the next pulse or the readout: a free grid never builds d x T x m.
-        block, decay, propagators = prepare, None, {}
+    for i in range(n_times):
+        block, propagators = prepare, {}
         for kind, value in steps:
-            if kind == "free" and spectral:
-                factor = np.multiply.outer(sd.eigenvalues, -np.ravel(value))
-                np.exp(factor, out=factor)
-                if decay is None:
-                    block, decay = sd.left_vectors @ block, factor
-                else:
-                    decay = decay * factor
-                continue
-            if decay is not None:
-                coeffs = decay[:, :, None] * block.reshape(d, -1, m)
-                block, decay = sd.right_vectors @ coeffs.reshape(d, -1), None
             if kind == "pulse":
                 block = (value @ block.reshape(d // 3, 3, -1)).reshape(d, -1)
-            else:
-                t = float(np.ravel(value)[i % np.size(value)])
-                if t not in propagators:
-                    propagators[t] = _exp_generator(sd, t)
-                block = propagators[t] @ block
-        if decay is not None:
-            modes = readout @ sd.right_vectors
-            if block.shape[1] == m:
-                # One column group: the d x 3m weights W[k, m c + j] = modes[c, k] block[k, j]
-                # read the whole grid out in one product, decay.T @ W.
-                weights = (modes.T[:, :, None] * block[:, None, :]).reshape(d, 3 * m)
-                return _real_transfer((decay.T @ weights).reshape(-1, 3, m))
-            coeffs = block.reshape(d, -1, m)
-            return _real_transfer(np.einsum("ck,kt,ktj->tcj", modes, decay, coeffs))
+                continue
+            t = float(np.ravel(value)[i % np.size(value)])
+            if t not in propagators:
+                propagators[t] = _exp_generator(sd, t)
+            block = propagators[t] @ block
         passes.append(block)
     transfer = readout @ np.concatenate(passes, axis=1)
     return _real_transfer(transfer.reshape(3, -1, m).transpose(1, 0, 2))

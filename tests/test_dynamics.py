@@ -28,7 +28,7 @@ from qtel import (
     transfer_from_spectral,
 )
 from qtel import dynamics, superop
-from qtel.superop import ContractionError, EigendecompositionError, boundary_projectors
+from qtel.superop import EigendecompositionError, boundary_projectors
 
 from conftest import make_system, mixed_fluctuator_system, two_fluctuator_system
 
@@ -159,14 +159,6 @@ class TestBangBang:
         monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", 0.0)
         result = bang_bang_operator(sys, tau, n, sd=sd)
         assert_degraded(sys, sd, result, spectral)
-
-    def test_non_real_period_raises(self, monkeypatch, strong_mixed_system):
-        # The period is decomposed as a real matrix; an imaginary part past IMAG_TOL is reported.
-        exp_generator = dynamics._exp_generator
-        monkeypatch.setattr(dynamics, "_exp_generator",
-                            lambda sd, t: exp_generator(sd, t) * np.exp(1e-3j))
-        with pytest.raises(ContractionError, match="imaginary part"):
-            bang_bang_operator(strong_mixed_system, tau=1.3, n_pulses=1)
 
     def test_boundary_maps_built_once(self, monkeypatch, strong_mixed_system):
         # The rates and the transfer of every tau in a sweep share the generator's boundary maps.
@@ -413,6 +405,71 @@ class TestSequenceOperator:
             PulseSequence(events=((0.0, np.array([1.0, 1.0, 0.0]), np.pi),))
 
 
+REAL_FORM_SYSTEMS = [make_system(g=0.3, theta=np.pi / 4, gamma=0.1),
+                     mixed_fluctuator_system(3, white_noise=(0.01, 0.02, 0.03))]
+
+
+@pytest.mark.parametrize("sys", REAL_FORM_SYSTEMS, ids=["strong-mixed", "three-white-noise"])
+class TestRealPairForm:
+    """Real period builds and grid contractions against complex V diag(exp(-lambda t)) V^-1.
+
+    The pair form returns real arrays with no imaginary part to check; the reference
+    keeps the complex eigenvectors and takes numpy's complex inverse.
+    """
+
+    @staticmethod
+    def reference(sd):
+        right = sd.right_vectors
+        left = np.linalg.inv(right)
+        return lambda t: (right * np.exp(-sd.eigenvalues * t)) @ left
+
+    @staticmethod
+    def assert_relative(got, want):
+        assert got.dtype == np.float64
+        assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got - want.real).max() <= 1e-12 * np.abs(want).max()
+
+    def test_period_build(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        propagator = self.reference(sd)
+        taus = np.array([0.05, 1.3, 7.0])
+        stack = dynamics._exp_generator(sd, taus)
+        for tau, got in zip(taus, stack):
+            self.assert_relative(got, propagator(tau))
+            self.assert_relative(dynamics._exp_generator(sd, float(tau)), propagator(tau))
+
+    def test_bang_bang_transfer(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        propagator = self.reference(sd)
+        readout, prepare = boundary_projectors(sys)
+        lift = np.kron(np.eye(2**sys.n_fluctuators), rotation_matrix(Y_AXIS, np.pi))
+        for tau in (0.4, 2.5):
+            period = propagator(tau) @ lift
+            want = readout @ np.linalg.matrix_power(period, 6) @ prepare
+            self.assert_relative(bang_bang_operator(sys, tau, 6, sd=sd).transfer, want)
+
+    def test_free_grid(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        propagator = self.reference(sd)
+        readout, prepare = boundary_projectors(sys)
+        times = np.linspace(0.0, 30.0, 61)
+        want = np.stack([readout @ propagator(t) @ prepare for t in times])
+        self.assert_relative(transfer_from_spectral(sd, times), want)
+
+    def test_echo_grid(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        propagator = self.reference(sd)
+        readout, prepare = boundary_projectors(sys)
+        eye = np.eye(2**sys.n_fluctuators)
+        half = np.kron(eye, rotation_matrix(X_AXIS, np.pi / 2))
+        flip = np.kron(eye, rotation_matrix(X_AXIS, np.pi))
+        times = np.linspace(0.0, 30.0, 31)
+        want = np.array([
+            (readout @ half @ propagator(t / 2) @ flip @ propagator(t / 2) @ half @ prepare)[2, 2]
+            for t in times])
+        self.assert_relative(echo_signal(sys, times, sd=sd), want)
+
+
 def expm_schedule(sys, factors):
     """Boundary contraction of expm segments and Kronecker-lifted pulses.
 
@@ -554,6 +611,30 @@ class TestBlochTrajectory:
             BlochTrajectory(
                 times=np.array([0.0, 1.0]), points=np.zeros((2, 3)), frame="interaction"
             )
+
+
+def test_fixed_pulses_are_built_once(monkeypatch, strong_mixed_system):
+    # The bang-bang and echo pulses come from module constants with rotation_matrix's bits;
+    # a schedule still builds each of its pulses.
+    for axis, vector in (("x", X_AXIS), ("y", Y_AXIS)):
+        assert np.array_equal(dynamics._PI_PULSES[axis], rotation_matrix(vector, np.pi))
+    assert np.array_equal(dynamics._HALF_PI_X, rotation_matrix(X_AXIS, np.pi / 2))
+    sys = strong_mixed_system
+    sd = spectral_decomposition(decoherence_generator(sys))
+    calls = []
+
+    def counting(axis, angle):
+        calls.append(angle)
+        return rotation_matrix(axis, angle)
+
+    monkeypatch.setattr(dynamics, "rotation_matrix", counting)
+    bang_bang_operator(sys, np.array([0.7, 1.3]), 3, axis="x", sd=sd)
+    bang_bang_operator(sys, 1.3, 3, axis="y", sd=sd)
+    echo_signal(sys, [0.0, 2.0], sd=sd)
+    assert calls == []
+    sequence_operator(sys, PulseSequence(events=((0.0, X_AXIS, 0.3), (1.0, Y_AXIS, np.pi))), 2.0,
+                      sd=sd)
+    assert calls == [0.3, np.pi]
 
 
 def test_defective_echo_runs_one_expm_per_duration(monkeypatch):

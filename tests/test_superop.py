@@ -8,6 +8,7 @@ from qtel import (
     FluctuatorDistribution,
     FluctuatorSpec,
     SystemSpec,
+    bang_bang_operator,
     boundary_projectors,
     decoherence_generator,
     discrete_transfer_operator,
@@ -15,6 +16,7 @@ from qtel import (
     enumerate_sequences,
     evolve_operator,
     fluctuator_dissipator,
+    rotation_matrix,
     spectral_decomposition,
     step_rotation,
     transfer_from_spectral,
@@ -398,6 +400,121 @@ class TestDecomposeStack:
         monkeypatch.setattr(superop, "RESIDUAL_TOL", 0.0)
         with pytest.raises(EigendecompositionError, match="member 1 of 2"):
             _decompose_stack(mats)
+
+
+PAIR_SYSTEMS = [
+    make_system(g=0.3, theta=np.pi / 4, gamma=0.1),
+    two_fluctuator_system(),
+    mixed_fluctuator_system(3, white_noise=(0.01, 0.02, 0.03)),
+]
+PAIR_IDS = ["strong-mixed", "two", "three-white-noise"]
+
+
+def complex_reference(mat):
+    """The complex eigenvectors' inverse, residual and condition, as before the pair form."""
+    eigenvalues, right = np.linalg.eig(mat)
+    left = np.linalg.inv(right)
+    scale = max(np.linalg.norm(mat, axis=0).max(), np.abs(eigenvalues).max())
+    residual = np.linalg.norm(mat @ right - right * eigenvalues, axis=0).max() / scale
+    return left, residual, np.linalg.norm(right) * np.linalg.norm(left)
+
+
+class TestPairForm:
+    """The real pair form against complex arithmetic on the same eigenvectors."""
+
+    @staticmethod
+    def pairs(eigenvalues):
+        first = np.flatnonzero(eigenvalues.imag > 0)
+        assert np.array_equal(np.flatnonzero(eigenvalues.imag < 0), first + 1)
+        return first
+
+    @pytest.mark.parametrize("sys", PAIR_SYSTEMS, ids=PAIR_IDS)
+    def test_pair_members_are_exact_conjugates(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        first = self.pairs(sd.eigenvalues)
+        assert first.size
+        assert np.array_equal(sd.eigenvalues[first + 1], sd.eigenvalues[first].conj())
+        assert np.array_equal(sd.right_vectors[:, first + 1], sd.right_vectors[:, first].conj())
+        assert np.array_equal(sd.left_vectors[first + 1], sd.left_vectors[first].conj())
+
+    @pytest.mark.parametrize("sys", PAIR_SYSTEMS, ids=PAIR_IDS)
+    def test_left_vectors_invert_right_vectors(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        assert_allclose(sd.left_vectors @ sd.right_vectors, np.eye(sd.dimension), rtol=0,
+                        atol=1e-12)
+
+    @pytest.mark.parametrize("sys", PAIR_SYSTEMS, ids=PAIR_IDS)
+    def test_gates_match_complex_reference(self, sys):
+        gen = decoherence_generator(sys)
+        sd = spectral_decomposition(gen)
+        left, residual, condition = complex_reference(gen.mat)
+        assert_allclose(sd.left_vectors, left, rtol=0, atol=1e-12 * np.abs(left).max())
+        assert sd.condition == pytest.approx(condition, rel=1e-12)
+        # A residual is roundoff: the two forms agree to within a few eps, not in relative terms.
+        assert abs(sd.max_residual - residual) <= 8 * np.finfo(float).eps
+
+    def test_all_real_member_alone_and_in_a_paired_stack(self):
+        # numpy returns real arrays for a stack whose eigenvalues are all real, and complex
+        # ones as soon as any member has a pair.
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        real = q @ np.diag([0.1, 0.4, 0.7, 1.3, 2.0, 2.9]) @ np.linalg.inv(q)
+        assert np.linalg.eig(real[None])[0].dtype == np.float64
+        paired = generator_stack([0.6], g=0.3, gamma=0.1)[0]
+        for mats in (real[None], np.stack([real, paired]), np.stack([paired, real])):
+            spectra = _decompose_stack(mats)
+            for b, mat in enumerate(mats):
+                assert_member_matches_single(spectra, b, mat)
+                left, residual, condition = complex_reference(mat)
+                assert_allclose(spectra.left_vectors[b] @ spectra.right_vectors[b], np.eye(6),
+                                rtol=0, atol=1e-12)
+                assert_allclose(spectra.left_vectors[b], left, rtol=0, atol=1e-12 * np.abs(left).max())
+                assert spectra.condition[b] == pytest.approx(condition, rel=1e-12)
+        assert not _decompose_stack(real[None]).eigenvalues.imag.any()
+
+    @pytest.mark.parametrize("layout", ["swapped", "apart"])
+    def test_broken_pair_layout_raises(self, monkeypatch, layout):
+        # The pair form needs each pair adjacent, Im > 0 first; another layout must not be
+        # mis-paired.
+        mats = generator_stack([0.3, 0.9], g=0.3, gamma=0.1)
+        eig = np.linalg.eig
+
+        def reordered(a):
+            eigenvalues, right = eig(a)
+            a0 = int(np.flatnonzero(eigenvalues[0].imag > 0)[0])
+            # Swap the pair's second member with its first, or with a real eigenvalue's column.
+            other = a0 if layout == "swapped" else int(np.flatnonzero(eigenvalues[0].imag == 0)[0])
+            order = np.arange(eigenvalues.shape[-1])
+            order[[a0 + 1, other]] = other, a0 + 1
+            return eigenvalues[..., order], right[..., order]
+
+        monkeypatch.setattr(np.linalg, "eig", reordered)
+        with pytest.raises(EigendecompositionError, match=r"adjacent conjugate pairs.*member 0 of 2"):
+            _decompose_stack(mats)
+
+    def test_grid_after_a_pulse_matches_expm(self):
+        # Two grid segments around a pulse read out T column groups, not one.
+        sd = spectral_decomposition(decoherence_generator(two_fluctuator_system()))
+        times = np.linspace(0.0, 5.0, 7)
+        rotation = rotation_matrix([0.3, 0.4, 0.5], 0.9)
+        steps = [("free", times), ("pulse", rotation), ("free", 0.5 * times)]
+        prepare = sd.operator.boundary[1]
+        assert_allclose(superop._compose(sd, steps, prepare),
+                        superop._compose_expm(sd, steps, prepare), rtol=0, atol=1e-12)
+
+    def test_inverse_runs_on_float64_only(self, monkeypatch):
+        sys = two_fluctuator_system()
+        inv, dtypes = np.linalg.inv, []
+
+        def recording(a):
+            dtypes.append(a.dtype)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        sd = spectral_decomposition(decoherence_generator(sys))
+        bang_bang_operator(sys, np.array([0.4, 1.3]), 5, sd=sd)
+        bang_bang_operator(sys, 2.2, 3)
+        assert len(dtypes) == 4 and set(dtypes) == {np.dtype(np.float64)}
 
 
 class TestMemberBlocks:
