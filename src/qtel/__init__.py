@@ -61,7 +61,6 @@ from .rates import (
     transverse_eigenvalues,
 )
 from .superop import (
-    ContractionError,
     EigendecompositionError,
     SpectralDecomposition,
     Superoperator,
@@ -81,10 +80,10 @@ __all__ = [
     "boundary_vectors", "rotation_matrix", "so3_generators",
     "stationary_distribution", "step_rotation",
     # superop
-    "ContractionError", "EigendecompositionError", "SpectralDecomposition",
-    "Superoperator", "boundary_projectors", "decoherence_generator",
-    "discrete_transfer_operator", "evolve_operator", "fluctuator_dissipator",
-    "spectral_decomposition", "transfer_from_spectral",
+    "EigendecompositionError", "SpectralDecomposition", "Superoperator",
+    "boundary_projectors", "decoherence_generator", "discrete_transfer_operator",
+    "evolve_operator", "fluctuator_dissipator", "spectral_decomposition",
+    "transfer_from_spectral",
     # dynamics
     "BangBangResult", "BlochTrajectory", "PulseSequence", "bang_bang_operator",
     "echo_signal", "free_trajectory", "sequence_operator", "to_rotating_frame",

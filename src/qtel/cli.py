@@ -51,7 +51,6 @@ from .superop import (
     _decompose_stack,
     _generator_stack,
     _member_blocks,
-    _real_transfer,
     _sweep_member,
 )
 
@@ -463,7 +462,7 @@ def _run_enum_verify(cfg: ExperimentConfig) -> ResultTable:
         step = discrete_transfer_operator(sys, cfg.dt)
         readout, prepare = step.boundary
         powered = np.linalg.matrix_power(step.mat, cfg.n_steps)
-        reference = _real_transfer(readout @ powered @ prepare)
+        reference = readout @ powered @ prepare
         worst = max(worst, float(np.abs(enum.t_matrix - reference).max()))
         worst_prob = max(worst_prob, abs(enum.total_probability - 1.0))
     return ResultTable(

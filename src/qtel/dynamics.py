@@ -36,7 +36,6 @@ from .superop import (
     _decompose_stack,
     _exp_generator,
     _member_blocks,
-    _real_transfer,
     _sweep_member,
 )
 
@@ -195,10 +194,9 @@ def bang_bang_operator(
     ``readout @ U**n_pulses @ prepare`` by matrix power, and its rates, still
     from the weights, carry the ``near-defective`` flag.  The period is real by
     construction, ``(V_r B(tau)) @ V_r^-1`` from the generator's pair form, so the
-    real eigensolver runs.  Neither it nor the transfer is checked for an
-    imaginary part: the roundoff the pair form drops is bounded by the
-    unchanged defective gate of both decompositions, ``condition * eps <=
-    IMAG_TOL``.
+    real eigensolver runs, and the transfer is real too.  The roundoff the pair
+    form drops is bounded by the defective gate of both decompositions,
+    ``condition * eps <= IMAG_TOL``.
 
     ``tau`` may also be a 1-d array of spacings, which returns a tuple with
     one result per spacing.  Their periods all come from the one generator
@@ -234,7 +232,7 @@ def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
     names member b in errors.
     """
     # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
-    free = _real_transfer(_exp_generator(sd, taus))
+    free = _exp_generator(sd, taus)
     periods = (free.reshape(-1, 3) @ _PI_PULSES[axis]).reshape(free.shape)
     spectra = _decompose_stack(periods, name)
     mu = spectra.eigenvalues

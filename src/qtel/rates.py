@@ -45,6 +45,7 @@ __all__ = [
     "extract_rates",
     "free_decay_rates",
     "channel_rates_from_modes",
+    "longitudinal_eigenvalues",
     "longitudinal_rates",
     "transverse_eigenvalues",
     "telegraph_spectrum",

@@ -16,9 +16,9 @@ one engine here applies these factors, over a time grid, to the columns of the
 ``d x 3`` preparation map that a caller reads (all three for a transfer matrix, the
 z column for the echo), and the free transfer matrix T(t) is its one-segment case.
 
-Every operator the library builds is real, so its complex eigenpairs come in
-conjugate pairs, which LAPACK returns next to each other, the member with
-``Im lambda > 0`` first, as two real columns ``Re v`` and ``Im v``.  Everything
+Every operator is real, so its complex eigenpairs come in conjugate pairs,
+which LAPACK returns next to each other, the member with ``Im lambda > 0``
+first, as two real columns ``Re v`` and ``Im v``.  Everything
 after the eigensolver runs on this real pair form: ``V_r`` holds those columns,
 ``L_r = V_r^-1``, and ``exp(-t P) = V_r B(t) L_r`` with ``B(t)`` block diagonal,
 ``exp(-lambda t)`` for a real eigenvalue and, for a pair ``alpha +- i beta``
@@ -49,7 +49,6 @@ __all__ = [
     "Superoperator",
     "SpectralDecomposition",
     "EigendecompositionError",
-    "ContractionError",
     "fluctuator_dissipator",
     "discrete_transfer_operator",
     "decoherence_generator",
@@ -66,8 +65,7 @@ KIND_GENERATOR = "generator"
 RESIDUAL_TOL = 1e-10
 
 # Absolute bound on the roundoff a transfer matrix may carry off the reals: the
-# imaginary part that the complex spectral form would leave, and the one a complex
-# operator's transfer is checked against.
+# imaginary part that the complex spectral form would leave.
 IMAG_TOL = 1e-10
 
 # Eigenvector-matrix condition bound (Frobenius) beyond which the decomposition
@@ -84,21 +82,16 @@ class EigendecompositionError(RuntimeError):
     """Raised when the eigensolver fails or returns unusable pairs."""
 
 
-class ContractionError(RuntimeError):
-    """Raised when a transfer matrix that must be real is not."""
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """Square operator on the joint fluctuator-Bloch space.
 
     ``kind`` is either ``"discrete-step"`` (one-interval transfer) or
-    ``"generator"`` (continuous-time).  The dtype follows the input: a real
-    matrix stays ``float64`` and a complex one ``complex128``.  Every operator
-    the library builds (the discrete step, the generator, a bang-bang period)
-    is real, so LAPACK's real eigensolver decomposes them; only eigenvectors
-    are complex.  ``boundary`` holds the system's real readout and preparation
-    maps, built once per operator.
+    ``"generator"`` (continuous-time).  The matrix is real and stored as
+    ``float64``; a complex one raises ``ValueError``.  LAPACK's real
+    eigensolver decomposes it, so only eigenvectors are complex.
+    ``boundary`` holds the system's real readout and preparation maps, built
+    once per operator.
     """
 
     mat: np.ndarray
@@ -107,7 +100,9 @@ class Superoperator:
 
     def __post_init__(self):
         mat = np.asarray(self.mat)
-        mat = np.array(mat, dtype=np.result_type(mat, float))
+        if np.iscomplexobj(mat):
+            raise ValueError(f"operator must be a real matrix, got dtype {mat.dtype}")
+        mat = np.array(mat, dtype=float)
         d = self.system.dimension
         if mat.shape != (d, d):
             raise ValueError(f"operator must be {d}x{d}, got {mat.shape}")
@@ -139,10 +134,12 @@ class SpectralDecomposition:
     defective, so propagators are formed by ``expm`` instead of from the modes.
     ``left_vectors`` is None when V could not be inverted (``condition = inf``).
 
-    For a real operator both are unpacked from the real pair form: a conjugate
-    pair's columns of V, and its rows of the left vectors, are exact conjugates,
-    the member with ``Im lambda > 0`` first.  The left rows are
-    ``0.5 (r_a -+ i r_b)`` from rows ``r_a, r_b`` of the real inverse ``V_r^-1``.
+    Both are unpacked from the real pair form: a conjugate pair's columns of V,
+    and its rows of the left vectors, are exact conjugates, the member with
+    ``Im lambda > 0`` first.  The left rows are ``0.5 (r_a -+ i r_b)`` from rows
+    ``r_a, r_b`` of the real inverse ``V_r^-1``.  Eigenvalues in any other layout
+    raise ``EigendecompositionError``: the propagators read only each pair's
+    first member.
     """
 
     eigenvalues: np.ndarray
@@ -152,6 +149,9 @@ class SpectralDecomposition:
     defective: bool
     max_residual: float
     operator: Superoperator
+
+    def __post_init__(self):
+        _pair_layout(np.asarray(self.eigenvalues)[None], lambda _: "SpectralDecomposition")
 
     @property
     def dimension(self) -> int:
@@ -284,12 +284,11 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
     inverted one by one, so only a singular member gets ``condition = inf``.
     ``name(b)`` names member b in the error; by default it is "member b of B".
 
-    A real stack runs every step after the eigensolver on the pair form: the
-    residual ``P V_r - V_r Lambda_r``, with ``Lambda_r`` holding the 2x2 block
+    The stack is real, and every step after the eigensolver runs on the pair form:
+    the residual ``P V_r - V_r Lambda_r``, with ``Lambda_r`` holding the 2x2 block
     ``[[alpha, beta], [-beta, alpha]]`` of each pair, the inverse ``V_r^-1`` and the
     condition are all ``float64``.  A member whose eigenvalues are not in adjacent
-    exact conjugate pairs raises instead of being mis-paired.  A complex stack has
-    no pairs and runs the same steps on its complex vectors.
+    exact conjugate pairs raises instead of being mis-paired.
     """
     if not np.all(np.isfinite(mats)):
         raise ValueError("operator entries must be finite")
@@ -298,21 +297,17 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
         eigenvalues, right = np.linalg.eig(mats)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigendecompositionError(f"eigensolver failed to converge: {exc}") from exc
-    # A real stack whose eigenvalues are all real comes back real.
+    # A stack whose eigenvalues are all real comes back real.
     eigenvalues, right = eigenvalues.astype(complex, copy=False), right.astype(complex, copy=False)
-    if np.iscomplexobj(mats):
-        first = second = np.zeros(eigenvalues.shape, bool)
-        packed, diagonal = right, eigenvalues
-    else:
-        first, second = _pair_layout(eigenvalues, name)
-        packed, diagonal = _pack_columns(right, second), eigenvalues.real
+    first, second = _pair_layout(eigenvalues, name)
+    packed = _pack_columns(right, second)
 
     # Column k of the residual is (P V_r - V_r Lambda_r)_k: column a of a pair gains
     # beta V_r[:, b] and column b loses beta V_r[:, a].  The two are the real and imaginary
     # parts of the pair's complex residual, whose norm column a takes.
     scale = np.maximum(np.linalg.norm(mats, axis=-2).max(axis=-1), np.abs(eigenvalues).max(axis=-1))
     residual = mats @ packed
-    residual -= packed * diagonal[:, None, :]
+    residual -= packed * eigenvalues.real[:, None, :]
     beta = (eigenvalues.imag * first)[:, None, :]
     residual[..., :-1] += packed[..., 1:] * beta[..., :-1]
     residual[..., 1:] -= packed[..., :-1] * beta[..., :-1]
@@ -337,7 +332,7 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
             except np.linalg.LinAlgError:
                 pass
     del packed
-    left = inverse if np.iscomplexobj(inverse) else _complex_rows(inverse, first, second)
+    left = _complex_rows(inverse, first, second)
     del inverse
     condition = np.sqrt(_frobenius_squared(right)) * np.sqrt(_frobenius_squared(left))
     condition[np.isnan(condition)] = np.inf
@@ -437,9 +432,9 @@ def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
     paired.  No SVD runs: residuals are scaled by the larger of the largest
     column norm and the spectral radius, both at most ``||P||_2``, and a
     Frobenius ``condition`` above ``DEFECTIVE_CONDITION`` or a failed
-    inversion (``condition = inf``) sets the ``defective`` flag.  A real
-    operator (the generator, a bang-bang period) runs LAPACK's real
-    eigensolver; its complex eigenpairs come in conjugate pairs.  It is the
+    inversion (``condition = inf``) sets the ``defective`` flag.  The
+    operator is real, so LAPACK's real eigensolver runs and its complex
+    eigenpairs come in conjugate pairs.  It is the
     one-member case of the stacked decomposition that the rates and bang-bang
     sweeps run, so every gate is applied in one place.
     """
@@ -468,47 +463,19 @@ def _mode_weights(boundary, right_vectors: np.ndarray, left_vectors: np.ndarray)
     return np.abs((readout @ right_vectors) * np.swapaxes(left_vectors @ prepare, -1, -2))
 
 
-def _modal(sd: SpectralDecomposition) -> bool:
-    """Whether propagators come from the modes in the pair form.
-
-    They do for a real operator not flagged defective.  A defective one, and a
-    complex one, which the library never builds, take ``expm``.
-    """
-    return not sd.defective and not np.iscomplexobj(sd.operator.mat)
-
-
 def _exp_generator(sd: SpectralDecomposition, t) -> np.ndarray:
-    """exp(-t * generator) as ``(V_r B(t)) @ L_r``, or by expm for a non-modal ``sd``.
+    """exp(-t * generator) as ``(V_r B(t)) @ L_r``, or by expm for a defective ``sd``.
 
-    A scalar ``t`` gives one ``d x d`` propagator, an array of times the stack
-    ``t.shape + (d, d)``; the modal one is real by construction.
+    A scalar ``t`` gives one real ``d x d`` propagator, an array of times the stack
+    ``t.shape + (d, d)``.
     """
-    if _modal(sd):
+    if not sd.defective:
         lam = sd.eigenvalues
         decay = np.exp(-lam * np.expand_dims(t, -1))
         scaled = _pack_columns(sd.right_vectors * decay[..., None, :], lam.imag < 0)
         return scaled @ _packed_rows(sd.left_vectors, lam)
     full = [scipy.linalg.expm(-s * sd.operator.mat) for s in np.ravel(t)]
     return np.reshape(full, np.shape(t) + sd.operator.mat.shape)
-
-
-def _real_transfer(transfer: np.ndarray) -> np.ndarray:
-    """A transfer or a bang-bang period as ``float64``, the imaginary part of a complex one checked.
-
-    A real operator's results are real by construction, so this reads nothing on
-    their path; the roundoff the pair form drops there is bounded by the defective
-    gate, ``condition * eps <= IMAG_TOL``.  It checks the results of a complex
-    operator, and the enumeration reference of the CLI.
-    """
-    if not np.iscomplexobj(transfer):
-        return transfer
-    max_imag = float(np.abs(transfer.imag).max(initial=0.0))
-    if not max_imag <= IMAG_TOL:
-        raise ContractionError(
-            f"transfer has imaginary part {max_imag:.3e} "
-            f"(tolerance {IMAG_TOL:.1e})"
-        )
-    return transfer.real
 
 
 def evolve_operator(
@@ -541,7 +508,7 @@ def evolve_operator(
         sd = spectral_decomposition(op)
     full = _exp_generator(sd, t)
     readout, prepare = op.boundary
-    return full, _real_transfer(readout @ full @ prepare)
+    return full, readout @ full @ prepare
 
 
 def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
@@ -571,7 +538,7 @@ def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarra
     """
     readout = sd.operator.boundary[0]
     d, m = prepare.shape
-    if not _modal(sd):
+    if sd.defective:
         return _compose_expm(sd, steps, prepare)
     # Only each real eigenvalue's mode and each pair's Im > 0 mode are carried: the pair's
     # other mode adds the complex conjugate, so a pair's left row counts twice and every
@@ -638,4 +605,4 @@ def _compose_expm(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.n
             block = propagators[t] @ block
         passes.append(block)
     transfer = readout @ np.concatenate(passes, axis=1)
-    return _real_transfer(transfer.reshape(3, -1, m).transpose(1, 0, 2))
+    return transfer.reshape(3, -1, m).transpose(1, 0, 2)

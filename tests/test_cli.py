@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -9,8 +8,7 @@ from click.testing import CliRunner
 from qtel import cli, dynamics
 from qtel.cli import ConfigError, ExperimentConfig, presets, run, main
 from qtel.dynamics import echo_signal
-from qtel.superop import (ContractionError, decoherence_generator, discrete_transfer_operator,
-                          spectral_decomposition)
+from qtel.superop import decoherence_generator, spectral_decomposition
 
 # Every preset on a grid small enough for the suite, keeping its experiment and parameters.
 SHRUNK = {
@@ -293,17 +291,6 @@ class TestRun:
             assert np.array_equal(rows[:, 0], np.full(len(times), theta))
             assert np.array_equal(rows[:, 1], times)
             assert np.array_equal(rows[:, 2], echo_signal(sys, times))
-
-    def test_enum_verify_rejects_complex_reference(self, tmp_path, monkeypatch):
-        # The powered step is contracted through the same imaginary-part check as the engine.
-        def complex_step(sys, dt):
-            op = discrete_transfer_operator(sys, dt)
-            return dataclasses.replace(op, mat=op.mat * np.exp(1e-3j))
-
-        monkeypatch.setattr(cli, "discrete_transfer_operator", complex_step)
-        cfg = ExperimentConfig.from_dict({"experiment": "enum-verify", "n_steps": 4, "dt": 0.1})
-        with pytest.raises(ContractionError, match="imaginary part"):
-            run(cfg, tmp_path)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"experiment": "enum-verify"})

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qtel import (
-    ContractionError,
     FluctuatorDistribution,
     FluctuatorSpec,
+    PulseSequence,
     SystemSpec,
     bang_bang_operator,
     boundary_projectors,
@@ -17,6 +19,7 @@ from qtel import (
     evolve_operator,
     fluctuator_dissipator,
     rotation_matrix,
+    sequence_operator,
     spectral_decomposition,
     step_rotation,
     transfer_from_spectral,
@@ -271,14 +274,18 @@ class TestGenerator:
 
 
 class TestSpectralDecomposition:
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dtype", [np.float64])
     def test_superoperator_keeps_input_dtype(self, dtype):
         op = Superoperator(mat=np.eye(6, dtype=dtype), kind=KIND_GENERATOR, system=make_system())
         assert op.mat.dtype == dtype
 
+    def test_complex_superoperator_rejected(self):
+        with pytest.raises(ValueError, match="real matrix, got dtype complex128"):
+            Superoperator(mat=np.eye(6, dtype=complex), kind=KIND_GENERATOR, system=make_system())
+
     def test_diagonal_operator(self):
         sys = make_system()
-        mat = np.diag(np.arange(6, dtype=complex))
+        mat = np.diag(np.arange(6.0))
         sd = spectral_decomposition(Superoperator(mat=mat, kind=KIND_GENERATOR, system=sys))
         assert_allclose(np.sort(sd.eigenvalues.real), np.arange(6), atol=1e-14)
         assert not sd.defective
@@ -492,6 +499,16 @@ class TestPairForm:
         with pytest.raises(EigendecompositionError, match=r"adjacent conjugate pairs.*member 0 of 2"):
             _decompose_stack(mats)
 
+    def test_reordered_decomposition_raises(self):
+        # Sorted by real part, then imaginary part, each pair's Im < 0 member comes first:
+        # the propagators, which read only the Im > 0 member, would be wrong.
+        sd = spectral_decomposition(decoherence_generator(make_system(theta=0.7)))
+        order = np.argsort(sd.eigenvalues)
+        with pytest.raises(EigendecompositionError, match="adjacent conjugate pairs"):
+            dataclasses.replace(sd, eigenvalues=sd.eigenvalues[order],
+                                right_vectors=sd.right_vectors[:, order],
+                                left_vectors=sd.left_vectors[order])
+
     def test_grid_after_a_pulse_matches_expm(self):
         # Two grid segments around a pulse read out T column groups, not one.
         sd = spectral_decomposition(decoherence_generator(two_fluctuator_system()))
@@ -605,14 +622,6 @@ class TestEvolveOperator:
         with pytest.raises(ValueError, match="generator"):
             evolve_operator(step, 1.0)
 
-    def test_non_real_contraction_raises(self):
-        # A generator violating the real-representability of the physical
-        # dynamics must be reported, not silently truncated.
-        sys = make_system()
-        bad = Superoperator(mat=1j * np.eye(6), kind=KIND_GENERATOR, system=sys)
-        with pytest.raises(ContractionError, match="imaginary"):
-            evolve_operator(bad, 1.0)
-
     def test_nan_time_raises(self):
         # A NaN time is rejected with the argument's name, before any contraction.
         sys = make_system()
@@ -638,12 +647,31 @@ class TestEvolveOperator:
 
     def test_defective_operator_falls_back_to_expm(self):
         sys = make_system()
-        jordan = np.eye(6, dtype=complex) + np.eye(6, k=1)
+        jordan = np.eye(6) + np.eye(6, k=1)
         op = Superoperator(mat=jordan, kind=KIND_GENERATOR, system=sys)
         sd = spectral_decomposition(op)
         assert sd.defective
         full, _ = evolve_operator(op, 1.3, sd)
         assert_allclose(full, scipy.linalg.expm(-1.3 * jordan), atol=1e-12)
+
+    def test_expm_route_returns_float64(self):
+        # At the aligned exceptional point g = gamma every propagator is formed by expm of
+        # the real generator, so each result is real without any imaginary part to drop.
+        sys = make_system(theta=0.0, g=0.1, gamma=0.1)
+        gen = decoherence_generator(sys)
+        sd = spectral_decomposition(gen)
+        assert sd.defective
+        times = np.linspace(0.0, 20.0, 5)
+        seq = PulseSequence(events=((1.0, np.array([0.0, 1.0, 0.0]), np.pi),))
+        results = [
+            *evolve_operator(gen, 1.3, sd),
+            transfer_from_spectral(sd, times),
+            echo_signal(sys, times, sd=sd),
+            sequence_operator(sys, seq, 2.0, sd=sd),
+            bang_bang_operator(sys, 0.5, 4, sd=sd).transfer,
+        ]
+        for result in results:
+            assert result.dtype == np.float64
 
 
 class TestDiscreteContinuumConsistency:
