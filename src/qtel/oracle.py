@@ -78,6 +78,13 @@ class SpectrumEstimate:
     hwhm: float
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``; numpy integers pass, a bool or a float raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEnsembleResult:
     """Average the n-interval evolution over all 2**n level sequences.
 
@@ -90,9 +97,7 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     of the discrete formalism.
     """
     f = _single_fluctuator(sys)
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    n_steps = int(n_steps)
+    n_steps = _integer(n_steps, "n_steps")
     if not 1 <= n_steps <= MAX_ENUM_STEPS:
         raise ValueError(f"n_steps must be in [1, {MAX_ENUM_STEPS}]")
     w = _switch_matrix(f.gamma, f.eta, dt)
@@ -101,34 +106,55 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     n_seq = 2**n_steps
     # Bit k of a sequence's code is its level at step k: 0 for s=+1, 1 for s=-1.
     # The first m = 2**k entries hold every k-step sequence; doubling to k + 1
-    # steps writes the codes with bit k set above them and updates the lower
-    # half in place, so each step costs O(m) and each product keeps the order
-    # rot[b_{n-1}] @ (... @ (rot[b_1] @ rot[b_0])).
-    rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
+    # steps writes the codes with bit k set above them.  Bit k - 1, the previous
+    # level, is 0 on [0, h) and 1 on [h, m).
     probs = np.empty(n_seq)
     probs[:2] = dist.p_plus, dist.p_minus
-    transfer = np.empty((n_seq, 3, 3))
-    transfer[:2] = rot
     for k in range(1, n_steps):
         m, h = 2**k, 2 ** (k - 1)
-        np.matmul(rot[1], transfer[:m], out=transfer[m : 2 * m])
-        # matmul copies an input that overlaps its output; 4096-product blocks
-        # keep that copy at 288 kB instead of half the array.
-        lower = transfer[:m]
-        for i in range(0, m, 4096):
-            np.matmul(rot[0], lower[i : i + 4096], out=lower[i : i + 4096])
-        # Bit k - 1, the previous level, is 0 on [0, h) and 1 on [h, m).
         np.multiply(probs[:h], w[1, 0], out=probs[m : m + h])
         np.multiply(probs[h:m], w[1, 1], out=probs[m + h : 2 * m])
         probs[:h] *= w[0, 0]
         probs[h:m] *= w[0, 1]
 
+    rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
+    if n_steps == 1:  # rot @ I would turn a -0.0 entry into +0.0
+        return SequenceEnsembleResult(t_matrix=rot[0] * probs[0] + rot[1] * probs[1],
+                                      n_steps=1, dt=dt, total_probability=float(probs.sum()))
+    # products[a, c, j] is entry (a, j) of the product for the (n - 1)-step prefix c,
+    # in the order rot[b_{n-2}] @ (... @ (rot[b_1] @ rot[b_0])).  Extending a block
+    # of prefixes by one level is then one (3 x 3) @ (3 x 3 * block) product; both
+    # halves are written block by block, because their memory bounds interleave and
+    # matmul copies an input that may overlap its output (here 288 kB at most).
+    half = n_seq // 2
+    products = np.empty((3, half, 3))
+    products[:, :2] = rot.transpose(1, 0, 2)
+    for k in range(1, n_steps - 1):
+        m = 2**k
+        for i in range(0, m, 4096):
+            j = min(i + 4096, m)
+            block = products[:, i:j].reshape(3, -1)
+            np.matmul(rot[1], block, out=products[:, m + i : m + j].reshape(3, -1))
+            np.matmul(rot[0], block, out=block)
+
+    # The last level is added block by block in cache and never stored: prefix c
+    # becomes sequence c at level +1 and c + half at level -1.  Adding the two
+    # weighted products is the first halving of the pairwise sum below.
+    for i in range(0, half, 4096):
+        j = min(i + 4096, half)
+        block = products[:, i:j]
+        flat = block.reshape(3, -1)
+        lower = (rot[0] @ flat).reshape(block.shape)
+        upper = (rot[1] @ flat).reshape(block.shape)
+        lower *= probs[i:j, None]
+        upper *= probs[half + i : half + j, None]
+        lower += upper
+        block[...] = lower
+
     # Pairwise sum in place: a running sum over 2**18 terms drifts past 1e-12.
-    terms = transfer.reshape(n_seq, 9)
-    terms *= probs[:, None]
-    for k in range(n_steps, 0, -1):
-        terms[: 2 ** (k - 1)] += terms[2 ** (k - 1) : 2**k]
-    t_matrix = terms[0].reshape(3, 3).copy()  # a view would pin all 2**n products
+    for k in range(n_steps - 1, 0, -1):
+        products[:, : 2 ** (k - 1)] += products[:, 2 ** (k - 1) : 2**k]
+    t_matrix = products[:, 0].copy()  # a view would pin all 2**(n - 1) products
     return SequenceEnsembleResult(
         t_matrix=t_matrix,
         n_steps=n_steps,
@@ -238,8 +264,11 @@ def sample_trajectories(
     ``(seed, n_samples)``.
     """
     f = _single_fluctuator(sys)
+    n_samples, workers = _integer(n_samples, "n_samples"), _integer(workers, "workers")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n0 = as_bloch_array(n0)
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t_grid)):

@@ -36,7 +36,7 @@ first for each fluctuator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +139,9 @@ class SpectralDecomposition:
     ``Im lambda > 0`` first.  The left rows are ``0.5 (r_a -+ i r_b)`` from rows
     ``r_a, r_b`` of the real inverse ``V_r^-1``.  Eigenvalues in any other layout
     raise ``EigendecompositionError``: the propagators read only each pair's
-    first member.
+    first member.  ``_decompose_stack`` checks the layout of every member it
+    returns, so ``_Spectra.member`` passes ``_layout_checked=True`` to skip the
+    second check; ``dataclasses.replace`` leaves it False and checks again.
     """
 
     eigenvalues: np.ndarray
@@ -149,9 +151,11 @@ class SpectralDecomposition:
     defective: bool
     max_residual: float
     operator: Superoperator
+    _layout_checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        _pair_layout(np.asarray(self.eigenvalues)[None], lambda _: "SpectralDecomposition")
+    def __post_init__(self, _layout_checked):
+        if not _layout_checked:
+            _pair_layout(np.asarray(self.eigenvalues)[None], lambda _: "SpectralDecomposition")
 
     @property
     def dimension(self) -> int:
@@ -271,6 +275,7 @@ class _Spectra(NamedTuple):
             defective=bool(self.defective[b]),
             max_residual=float(self.max_residual[b]),
             operator=op,
+            _layout_checked=True,
         )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qtel import cli, dynamics
+from qtel import cli, dynamics, superop
 from qtel.cli import ConfigError, ExperimentConfig, presets, run, main
 from qtel.dynamics import echo_signal
 from qtel.superop import decoherence_generator, spectral_decomposition
@@ -195,6 +195,22 @@ class TestRun:
         again = ExperimentConfig.from_dict(meta["config"])
         second = run(again, tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("preset, checks", [("fig2", 1), ("fig3a", 2), ("fig3b", 2),
+                                                ("fig4a", 2), ("fig4b", 2), ("fig5", 1),
+                                                ("fig6", 1)])
+    def test_pair_layout_checked_once_per_stack(self, tmp_path, monkeypatch, preset, checks):
+        # A decomposition built from a checked stack is not checked again.
+        calls = []
+
+        def counting(eigenvalues, name):
+            calls.append(eigenvalues.shape)
+            return pair_layout(eigenvalues, name)
+
+        pair_layout = superop._pair_layout
+        monkeypatch.setattr(superop, "_pair_layout", counting)
+        run(ExperimentConfig.from_dict(presets()[preset] | SHRUNK[preset]), tmp_path)
+        assert len(calls) == checks
 
     def test_bang_bang_sweep_is_one_public_call(self, tmp_path, monkeypatch):
         # The whole sweep goes through the public function, once, with every spacing.

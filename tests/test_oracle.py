@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from qtel import (
     transfer_from_spectral,
 )
 from qtel import oracle
+from qtel.cli import ENUM_VERIFY_GRID
 from qtel.model import FluctuatorDistribution
 from qtel.oracle import MAX_ENUM_STEPS
 from qtel.superop import boundary_projectors
@@ -85,7 +87,7 @@ class TestEnumeration:
         result = enumerate_sequences(sys, dt=0.1, n_steps=18)
         assert np.abs(result.t_matrix - powered_contraction(sys, 0.1, 18)).max() < 1e-12
         assert abs(result.total_probability - 1.0) < 1e-12
-        # The result must not keep the 2**18 summed products alive.
+        # The result must not keep the 2**17 summed prefix products alive.
         assert result.t_matrix.base is None
 
     def test_decoupled_noise_leaves_pure_precession(self):
@@ -115,7 +117,7 @@ class TestEnumeration:
         reference = powered_contraction(sys, 0.05, MAX_ENUM_STEPS)
         assert np.abs(result.t_matrix - reference).max() < 1e-12
         assert abs(result.total_probability - 1.0) < 1e-12
-        # A view would pin all 2**20 products (75 MB) for as long as the result lives.
+        # A view would pin all 2**19 prefix products (38 MB) for as long as the result lives.
         assert result.t_matrix.base is None
 
     def test_matches_per_sequence_reference(self, rng):
@@ -198,6 +200,29 @@ class TestMonteCarlo:
     def test_non_finite_times_rejected(self, sys, bad):
         with pytest.raises(ValueError, match="t_grid must be finite"):
             sample_trajectories(sys, X_AXIS, [1.0, bad], n_samples=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("n_samples", True, "n_samples must be an integer", id="samples-bool"),
+            pytest.param("n_samples", 10.0, "n_samples must be an integer", id="samples-float"),
+            pytest.param("n_samples", 0, "n_samples must be >= 1", id="samples-zero"),
+            pytest.param("workers", True, "workers must be an integer", id="workers-bool"),
+            pytest.param("workers", 2.0, "workers must be an integer", id="workers-float"),
+            pytest.param("workers", 0, "workers must be >= 1", id="workers-zero"),
+        ],
+    )
+    def test_bad_counts_rejected(self, field, value, message):
+        kwargs = {"n_samples": 10, "workers": 1} | {field: value}
+        with pytest.raises(ValueError, match=message):
+            sample_trajectories(make_system(), X_AXIS, [1.0], seed=0, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        sys = make_system(theta=0.4, eta=0.05)
+        got = sample_trajectories(sys, X_AXIS, [1.0], np.int64(10), seed=0, workers=np.int64(1))
+        want = sample_trajectories(sys, X_AXIS, [1.0], 10, seed=0)
+        assert got.n_samples == 10 and type(got.n_samples) is int
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.stderr, want.stderr)
 
     def test_noise_free_sampling_is_deterministic(self):
         sys = make_system(g=0.0, gamma=0.2)
@@ -353,6 +378,63 @@ class TestSamplerBits:
         got = oracle._sample_states_on_grid(f, 200, dt, 300, np.random.default_rng(4))
         levels = reference_levels(f, 0.5, 300, np.arange(200) * dt, np.random.default_rng(4))
         assert np.array_equal(got, np.stack([states.copy() for states in levels], axis=1))
+
+
+def reference_enumeration(sys, dt, n_steps):
+    """The (n_seq, 3, 3) doubling loop with one 3x3 product per sequence."""
+    f = sys.fluctuators[0]
+    w = oracle._switch_matrix(f.gamma, f.eta, dt)
+    dist = sys.distributions()[0]
+    n_seq = 2**n_steps
+    rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
+    probs = np.empty(n_seq)
+    probs[:2] = dist.p_plus, dist.p_minus
+    transfer = np.empty((n_seq, 3, 3))
+    transfer[:2] = rot
+    for k in range(1, n_steps):
+        m, h = 2**k, 2 ** (k - 1)
+        np.matmul(rot[1], transfer[:m], out=transfer[m : 2 * m])
+        lower = transfer[:m]
+        for i in range(0, m, 4096):
+            np.matmul(rot[0], lower[i : i + 4096], out=lower[i : i + 4096])
+        np.multiply(probs[:h], w[1, 0], out=probs[m : m + h])
+        np.multiply(probs[h:m], w[1, 1], out=probs[m + h : 2 * m])
+        probs[:h] *= w[0, 0]
+        probs[h:m] *= w[0, 1]
+
+    terms = transfer.reshape(n_seq, 9)
+    terms *= probs[:, None]
+    for k in range(n_steps, 0, -1):
+        terms[: 2 ** (k - 1)] += terms[2 ** (k - 1) : 2**k]
+    return terms[0].reshape(3, 3).copy(), float(probs.sum())
+
+
+class TestEnumerationBits:
+    # The enum-verify grid, then a decoupled fluctuator and one frozen in its + level.
+    @pytest.mark.parametrize(
+        "gamma, eta, g, theta",
+        [*ENUM_VERIFY_GRID, (0.4, 0.1, 0.0, 0.0), (0.3, -0.3, 0.5, 0.7)],
+        ids=[*(f"grid-{i}" for i in range(len(ENUM_VERIFY_GRID))), "g-zero", "frozen"],
+    )
+    def test_equals_reference(self, gamma, eta, g, theta):
+        for n, b0, dt in [*((n, b0, dt) for n in range(1, 15) for b0 in (0.0, 2.3)
+                            for dt in (0.1, 0.37)), (18, 1.0, 0.1)]:
+            sys = make_system(b0=b0, g=g, theta=theta, gamma=gamma, eta=eta)
+            result = enumerate_sequences(sys, dt, n)
+            t_matrix, total = reference_enumeration(sys, dt, n)
+            assert np.array_equal(result.t_matrix, t_matrix), (n, b0, dt)
+            assert result.total_probability == total, (n, b0, dt)
+
+    def test_memory_below_all_products(self):
+        # The 2**16 products of 16 steps would take 4.5 MiB; only the 2**15 prefixes are kept.
+        sys = make_system(theta=0.7, gamma=0.3, eta=-0.1)
+        tracemalloc.start()
+        try:
+            enumerate_sequences(sys, 0.1, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16 * 9 * 8
 
 
 class TestDwellTimes:
