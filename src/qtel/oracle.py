@@ -313,7 +313,7 @@ def sample_dwell_times(f: FluctuatorSpec, n_dwells: int, seed: int) -> np.ndarra
     exponential with rate ``gamma + s * eta`` (rate ``gamma`` for both
     levels in the symmetric case).
     """
-    if n_dwells < 1:
+    if _integer(n_dwells, "n_dwells") < 1:
         raise ValueError("n_dwells must be >= 1")
     if f.gamma <= 0.0:
         raise ValueError("frozen fluctuator has no finite dwell times")
@@ -345,6 +345,8 @@ def empirical_spectrum(f: FluctuatorSpec, n_samples: int = 400, seed: int = 0) -
     """
     import scipy.optimize  # the only user: ``import qtel`` does not load it
 
+    if _integer(n_samples, "n_samples") < 1:
+        raise ValueError("n_samples must be >= 1")
     if f.eta != 0.0:
         raise ValueError("spectrum estimation is implemented for eta = 0 only")
     if f.gamma <= 0.0:

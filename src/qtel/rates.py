@@ -364,9 +364,20 @@ def perturbative_rates(
     """
     if eta != 0.0:
         raise ValueError("perturbative comparison is defined for eta = 0 only")
-    rate_phi = float(np.cos(theta) ** 2 * telegraph_spectrum(0.0, gamma, g) / 2.0)
-    rate_1 = float(np.sin(theta) ** 2 * telegraph_spectrum(b0, gamma, g) / 2.0)
-    return PerturbativeRates(rate_phi=rate_phi, rate_1=rate_1, rate_2_star=rate_1 / 2.0 + rate_phi)
+    rate_phi, rate_1, rate_2_star = (float(r[0]) for r in
+                                     _perturbative(b0, g, gamma, np.array([theta])))
+    return PerturbativeRates(rate_phi=rate_phi, rate_1=rate_1, rate_2_star=rate_2_star)
+
+
+def _perturbative(b0: float, g: float, gamma: float, theta: np.ndarray):
+    """``(rate_phi, rate_1, rate_2_star)`` of ``perturbative_rates`` for each angle in ``theta``.
+
+    ``theta`` is an array for every caller, so one angle and a sweep share their bits:
+    a numpy scalar's ``** 2`` calls ``pow``, which can differ from a square in the last bit.
+    """
+    rate_phi = np.cos(theta) ** 2 * telegraph_spectrum(0.0, gamma, g) / 2.0
+    rate_1 = np.sin(theta) ** 2 * telegraph_spectrum(b0, gamma, g) / 2.0
+    return rate_phi, rate_1, rate_1 / 2.0 + rate_phi
 
 
 @dataclass(frozen=True)
@@ -407,8 +418,8 @@ def angle_sweep(
         # Only the rates are kept: the grouping decides only the ambiguity flags.
         selected = _smallest_rates(spectra.eigenvalues.real, weights, name)
         rz[block], rxy[block] = selected[:, 2], selected[:, 3]
-    rstar = np.full_like(theta_grid, np.nan)
     if eta == 0.0:
-        for i, th in enumerate(theta_grid):
-            rstar[i] = perturbative_rates(b0, g, gamma, th).rate_2_star
+        rstar = _perturbative(b0, g, gamma, theta_grid)[2]
+    else:
+        rstar = np.full_like(theta_grid, np.nan)
     return SweepResult(theta=theta_grid, rate_z=rz, rate_xy=rxy, rate_2_star=rstar, eta=eta)

@@ -36,7 +36,7 @@ first for each fluctuator.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -134,14 +134,11 @@ class SpectralDecomposition:
     defective, so propagators are formed by ``expm`` instead of from the modes.
     ``left_vectors`` is None when V could not be inverted (``condition = inf``).
 
-    Both are unpacked from the real pair form: a conjugate pair's columns of V,
-    and its rows of the left vectors, are exact conjugates, the member with
-    ``Im lambda > 0`` first.  The left rows are ``0.5 (r_a -+ i r_b)`` from rows
-    ``r_a, r_b`` of the real inverse ``V_r^-1``.  Eigenvalues in any other layout
-    raise ``EigendecompositionError``: the propagators read only each pair's
-    first member.  ``_decompose_stack`` checks the layout of every member it
-    returns, so ``_Spectra.member`` passes ``_layout_checked=True`` to skip the
-    second check; ``dataclasses.replace`` leaves it False and checks again.
+    Both are unpacked from the real pair form, in which a conjugate pair's columns
+    of V, and its rows of the left vectors, are exact conjugates.  The propagators
+    read each pair's data from a column's own conjugate, so any column order works,
+    with the left rows in the same order; eigenvalues that are not closed under
+    exact conjugation raise ``EigendecompositionError``.
     """
 
     eigenvalues: np.ndarray
@@ -151,11 +148,11 @@ class SpectralDecomposition:
     defective: bool
     max_residual: float
     operator: Superoperator
-    _layout_checked: InitVar[bool] = False
 
-    def __post_init__(self, _layout_checked):
-        if not _layout_checked:
-            _pair_layout(np.asarray(self.eigenvalues)[None], lambda _: "SpectralDecomposition")
+    def __post_init__(self):
+        eigenvalues = np.asarray(self.eigenvalues)
+        if not np.array_equal(np.sort_complex(eigenvalues), np.sort_complex(eigenvalues.conj())):
+            raise EigendecompositionError("eigenvalues are not closed under exact conjugation")
 
     @property
     def dimension(self) -> int:
@@ -275,7 +272,6 @@ class _Spectra(NamedTuple):
             defective=bool(self.defective[b]),
             max_residual=float(self.max_residual[b]),
             operator=op,
-            _layout_checked=True,
         )
 
 
@@ -336,10 +332,14 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
                 inverse[b] = np.linalg.inv(vectors)
             except np.linalg.LinAlgError:
                 pass
+    # ||V||_F^2 and ||V^-1||_F^2 from the pair form: a paired column of V_r counts twice
+    # and a paired row of L_r half.
+    weight = np.where(first | second, 2.0, 1.0)
+    condition = np.sqrt(np.einsum("...ik,...ik,...k->...", packed, packed, weight)
+                        * np.einsum("...ki,...ki,...k->...", inverse, inverse, 1.0 / weight))
     del packed
     left = _complex_rows(inverse, first, second)
     del inverse
-    condition = np.sqrt(_frobenius_squared(right)) * np.sqrt(_frobenius_squared(left))
     condition[np.isnan(condition)] = np.inf
     defective = ~np.isfinite(condition) | (condition > DEFECTIVE_CONDITION)
     return _Spectra(eigenvalues, right, left, condition, defective, max_residual)
@@ -366,23 +366,23 @@ def _pair_layout(eigenvalues: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]
 
 
 def _pack_columns(z: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Real columns of the pair form: a pair's columns a, a + 1 take Re and Im of column a.
+    """Real columns of the pair form: a pair's first column takes Re, its second ``-Im``.
 
-    ``second`` marks each pair's second column, whose entries are not read; every
-    other column keeps its real part.  Applied to the right vectors V this gives
-    ``V_r``, and to ``V * exp(-lambda t)`` the product ``V_r B(t)``.
+    ``second`` marks each pair's second column, the exact conjugate of the first, so it
+    gives the first's Im wherever it stands; every other column keeps its real part.
+    Applied to V this gives ``V_r``, and to ``V * exp(-lambda t)`` the product ``V_r B(t)``.
     """
-    out = z.real.copy()
-    np.copyto(out[..., 1:], z.imag[..., :-1], where=second[..., None, 1:])
-    return out
+    return np.where(second[..., None, :], -z.imag, z.real)
 
 
 def _packed_rows(left: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """``L_r = V_r^-1`` from the complex left rows: a pair's rows are ``2 Re l_a`` and ``-2 Im l_a``."""
+    """``L_r = V_r^-1`` from the complex left rows, each read from its own row.
+
+    A pair's first row is ``2 Re l``, its second ``2 Im l`` and a real one ``Re l``.
+    """
     first, second = eigenvalues.imag > 0, eigenvalues.imag < 0
-    out = left.real * np.where(first | second, 2.0, 1.0)[..., :, None]
-    np.multiply(left.imag[..., :-1, :], -2.0, out=out[..., 1:, :], where=second[..., 1:, None])
-    return out
+    return np.where(second[..., :, None], 2.0 * left.imag,
+                    left.real * np.where(first, 2.0, 1.0)[..., :, None])
 
 
 def _complex_rows(inverse: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -397,12 +397,6 @@ def _complex_rows(inverse: np.ndarray, first: np.ndarray, second: np.ndarray) ->
     np.multiply(inverse[..., :-1, :], 0.5, out=left.real[..., 1:, :], where=starts)
     np.multiply(inverse[..., 1:, :], -0.5, out=left.imag[..., :-1, :], where=starts)
     return left
-
-
-def _frobenius_squared(z: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix of a complex stack, with no complex temporary."""
-    return (np.einsum("...ij,...ij->...", z.real, z.real)
-            + np.einsum("...ij,...ij->...", z.imag, z.imag))
 
 
 def _member_blocks(n_members: int, dim: int) -> list[slice]:

@@ -562,6 +562,69 @@ class TestScheduleEngineAgainstExpm:
         assert_allclose(result.eigenvalues[got], expected[want], rtol=0, atol=1e-10)
 
 
+class TestAlignedEnsembleFactorizes:
+    """An outside reference for N >= 2: fluctuators coupled along z commute.
+
+    Each one adds an independent phase to the transverse coherence, so the
+    N-fluctuator coherence is the product of the one-fluctuator ones (Bergli,
+    Galperin & Altshuler, New J. Phys. 11, 025002 (2009)).  Where that coherence is
+    real, the N-fluctuator element equals the product of the one-fluctuator
+    elements, up to the sign the element puts on the coherence.  Distinct ``|g|``
+    and gamma make every fluctuator's factor different.
+    """
+
+    G = (0.3, 0.17, 0.45, 0.24)
+    GAMMA = (0.1, 0.35, 0.22, 0.6)
+    TIMES = np.linspace(0.0, 20.0, 41)
+
+    def system(self, members, b0, eta_ratio=0.0):
+        return SystemSpec(b0=b0, fluctuators=tuple(
+            FluctuatorSpec(g=[0.0, 0.0, self.G[i]], gamma=self.GAMMA[i],
+                           eta=eta_ratio * self.GAMMA[i])
+            for i in members))
+
+    def product(self, n, output, **kwargs):
+        return np.prod([output(self.system([i], **kwargs)) for i in range(n)], axis=0)
+
+    @pytest.mark.parametrize("eta_ratio", [0.0, 0.4])
+    @pytest.mark.parametrize("b0", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_echo_is_the_product_of_single_fluctuator_echoes(self, n, b0, eta_ratio):
+        # The echo refocuses b0 and, with any bias, has a real coherence: a stationary
+        # two-level process is reversible, and reversal flips the sign of the echo phase.
+        def echo(sys):
+            return echo_signal(sys, self.TIMES)
+
+        got = echo(self.system(range(n), b0=b0, eta_ratio=eta_ratio))
+        assert_allclose(got, self.product(n, echo, b0=b0, eta_ratio=eta_ratio), rtol=0,
+                        atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_free_decay_is_the_product_at_zero_field(self, n):
+        def t_xx(sys):
+            return transfer_from_spectral(spectral_decomposition(decoherence_generator(sys)),
+                                          self.TIMES)[:, 0, 0]
+
+        got = t_xx(self.system(range(n), b0=0.0))
+        assert_allclose(got, self.product(n, t_xx, b0=0.0), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("b0", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cpmg_is_the_signed_product(self, n, b0):
+        # pi/2 about x takes z to -y, four pi pulses about y refocus b0, and the (y, z)
+        # element reads out minus the coherence: hence the sign (-1)^(N - 1).
+        tau = 3.0
+        seq = PulseSequence(events=((0.0, X_AXIS, np.pi / 2),)
+                            + tuple(((k + 0.5) * tau, Y_AXIS, np.pi) for k in range(4)))
+
+        def y_from_z(sys):
+            return sequence_operator(sys, seq, 4 * tau)[1, 2]
+
+        got = y_from_z(self.system(range(n), b0=b0))
+        want = (-1) ** (n - 1) * self.product(n, y_from_z, b0=b0)
+        assert abs(got) > 0.1 and abs(got - want) <= 1e-13
+
+
 class TestExceptionalPoint:
     """Aligned noise at g = gamma (eta = 0), where two modes coalesce.
 

@@ -456,6 +456,24 @@ class TestDwellTimes:
         with pytest.raises(ValueError, match="frozen"):
             sample_dwell_times(f, 100, seed=1)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param(True, "n_dwells must be an integer", id="bool"),
+            pytest.param(2.0, "n_dwells must be an integer", id="float"),
+            pytest.param(0, "n_dwells must be >= 1", id="zero"),
+        ],
+    )
+    def test_bad_dwell_count_rejected(self, value, message):
+        f = FluctuatorSpec(g=[0, 0, 0.3], gamma=0.1, eta=0.0)
+        with pytest.raises(ValueError, match=message):
+            sample_dwell_times(f, value, seed=0)
+
+    def test_numpy_integer_dwell_count_accepted(self):
+        f = FluctuatorSpec(g=[0, 0, 0.3], gamma=0.1, eta=0.0)
+        assert np.array_equal(sample_dwell_times(f, np.int64(5), seed=3),
+                              sample_dwell_times(f, 5, seed=3))
+
 
 class TestEmpiricalSpectrum:
     def test_lorentzian_parameters_recovered(self):
@@ -483,3 +501,16 @@ class TestEmpiricalSpectrum:
         f = FluctuatorSpec(g=[0.1, 0, 0], gamma=0.5, eta=0.1)
         with pytest.raises(ValueError, match="eta"):
             empirical_spectrum(f, n_samples=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param(True, "n_samples must be an integer", id="bool"),
+            pytest.param(2.5, "n_samples must be an integer", id="float"),
+            pytest.param(0, "n_samples must be >= 1", id="zero"),
+        ],
+    )
+    def test_bad_sample_count_rejected(self, value, message):
+        f = FluctuatorSpec(g=[0.1, 0, 0], gamma=0.5, eta=0.0)
+        with pytest.raises(ValueError, match=message):
+            empirical_spectrum(f, n_samples=value, seed=0)

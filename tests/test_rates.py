@@ -440,6 +440,8 @@ class TestAngleSweep:
             rates = free_decay_rates(make_system(b0=b0, g=g, theta=th, gamma=gamma, eta=eta))
             assert sweep.rate_z[i] == rates.rate_z
             assert sweep.rate_xy[i] == rates.rate_xy
+            if eta == 0.0:
+                assert sweep.rate_2_star[i] == perturbative_rates(b0, g, gamma, th).rate_2_star
 
     def test_empty_grid_gives_empty_result(self):
         sweep = angle_sweep(1.0, 0.3, 0.1, 0.0, [])

@@ -17,6 +17,7 @@ from qtel import (
     echo_signal,
     enumerate_sequences,
     evolve_operator,
+    extract_rates,
     fluctuator_dissipator,
     rotation_matrix,
     sequence_operator,
@@ -499,15 +500,55 @@ class TestPairForm:
         with pytest.raises(EigendecompositionError, match=r"adjacent conjugate pairs.*member 0 of 2"):
             _decompose_stack(mats)
 
-    def test_reordered_decomposition_raises(self):
-        # Sorted by real part, then imaginary part, each pair's Im < 0 member comes first:
-        # the propagators, which read only the Im > 0 member, would be wrong.
+    @staticmethod
+    def outputs(sd):
+        """Free transfer, echo, propagator, CPMG, bang-bang transfer and rates of ``sd``."""
+        sys, times = sd.operator.system, np.linspace(0.0, 12.0, 7)
+        tau = 1.3
+        cpmg = PulseSequence(events=tuple(((k + 0.5) * tau, np.array([0.0, 1.0, 0.0]), np.pi)
+                                          for k in range(4)))
+        rates = extract_rates(sd)
+        return {
+            "transfer": transfer_from_spectral(sd, times),
+            "echo": echo_signal(sys, times, sd=sd),
+            "propagator": evolve_operator(sd.operator, 2.7, sd)[0],
+            "cpmg": sequence_operator(sys, cpmg, 4 * tau, sd=sd),
+            "bang-bang": bang_bang_operator(sys, 0.8, 8, sd=sd).transfer,
+            "rates": np.array([rates.rate_x, rates.rate_y, rates.rate_z, rates.rate_xy]),
+            "flags": rates.flags,
+        }
+
+    @pytest.mark.parametrize("order", ["argsort", "random"])
+    @pytest.mark.parametrize("sys", PAIR_SYSTEMS, ids=PAIR_IDS)
+    def test_any_column_order_gives_the_same_outputs(self, sys, order):
+        # Sorted by real part, then imaginary part, each pair's Im < 0 member comes first; a
+        # random order also parts the two members.  Every read takes a pair's data from a
+        # column's own conjugate, so neither order changes a result.
+        sd = spectral_decomposition(decoherence_generator(sys))
+        if order == "argsort":
+            perm = np.argsort(sd.eigenvalues)
+        else:
+            perm = np.random.default_rng(19).permutation(sd.dimension)
+        assert not np.array_equal(perm, np.arange(sd.dimension))
+        moved = dataclasses.replace(sd, eigenvalues=sd.eigenvalues[perm],
+                                    right_vectors=sd.right_vectors[:, perm],
+                                    left_vectors=sd.left_vectors[perm])
+        want, got = self.outputs(sd), self.outputs(moved)
+        assert got.pop("flags") == want.pop("flags")
+        for key, value in want.items():
+            assert_allclose(got[key], value, rtol=0, atol=1e-13, err_msg=key)
+
+    @pytest.mark.parametrize("broken", ["perturbed", "unpaired"])
+    def test_spectrum_not_closed_under_conjugation_raises(self, broken):
         sd = spectral_decomposition(decoherence_generator(make_system(theta=0.7)))
-        order = np.argsort(sd.eigenvalues)
-        with pytest.raises(EigendecompositionError, match="adjacent conjugate pairs"):
-            dataclasses.replace(sd, eigenvalues=sd.eigenvalues[order],
-                                right_vectors=sd.right_vectors[:, order],
-                                left_vectors=sd.left_vectors[order])
+        eigenvalues = sd.eigenvalues.copy()
+        k = int(np.flatnonzero(eigenvalues.imag < 0)[0])
+        if broken == "perturbed":
+            eigenvalues[k] = complex(eigenvalues[k].real, np.nextafter(eigenvalues[k].imag, 0.0))
+        else:
+            eigenvalues[k] = eigenvalues[k].real
+        with pytest.raises(EigendecompositionError, match="closed under exact conjugation"):
+            dataclasses.replace(sd, eigenvalues=eigenvalues)
 
     def test_grid_after_a_pulse_matches_expm(self):
         # Two grid segments around a pulse read out T column groups, not one.
