@@ -276,6 +276,8 @@ def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None
     pulses compose to a full turn and the signal is 1.
     """
     seg = 0.5 * np.asarray(t_grid, dtype=float)
+    if seg.ndim != 1:
+        raise ValueError(f"echo times must be a 1-d grid, got shape {seg.shape}")
     if not np.all((seg >= 0) & (seg < np.inf)):  # NaN fails this too
         raise ValueError("echo times must be >= 0 and not NaN or infinite")
     if sd is None:

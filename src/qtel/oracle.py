@@ -46,6 +46,12 @@ MAX_ENUM_STEPS = 20
 # so results are bit-identical for any worker count.
 CHUNK_SIZE = 8192
 
+# Enumeration extends prefixes _BLOCK at a time and folds _SUBTREE of them at a
+# time.  2**14 prefixes take 1.2 MB; at n = 18 subtrees of 2**12, 2**13, 2**14 and
+# 2**15 prefixes took 8.4, 7.5, 6.5 and 6.7 ms on one BLAS thread.
+_BLOCK = 4096
+_SUBTREE = 2**14
+
 
 @dataclass(frozen=True)
 class SequenceEnsembleResult:
@@ -85,6 +91,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """``value`` as an ``int`` >= 0; ``None`` (OS entropy) raises ``ValueError``."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEnsembleResult:
     """Average the n-interval evolution over all 2**n level sequences.
 
@@ -95,6 +109,10 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     contraction of the n-th power of the discrete transfer operator to
     machine precision; this identity is the central correctness check
     of the discrete formalism.
+
+    The sequences are summed one subtree of 2**14 prefixes at a time, so
+    beside the 2**n probabilities summed for ``total_probability`` the
+    working set stays under about 3 MB for any n.
     """
     f = _single_fluctuator(sys)
     n_steps = _integer(n_steps, "n_steps")
@@ -104,63 +122,123 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     dist = sys.distributions()[0]
 
     n_seq = 2**n_steps
-    # Bit k of a sequence's code is its level at step k: 0 for s=+1, 1 for s=-1.
-    # The first m = 2**k entries hold every k-step sequence; doubling to k + 1
-    # steps writes the codes with bit k set above them.  Bit k - 1, the previous
-    # level, is 0 on [0, h) and 1 on [h, m).
     probs = np.empty(n_seq)
     probs[:2] = dist.p_plus, dist.p_minus
-    for k in range(1, n_steps):
-        m, h = 2**k, 2 ** (k - 1)
-        np.multiply(probs[:h], w[1, 0], out=probs[m : m + h])
-        np.multiply(probs[h:m], w[1, 1], out=probs[m + h : 2 * m])
-        probs[:h] *= w[0, 0]
-        probs[h:m] *= w[0, 1]
-
     rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
     if n_steps == 1:  # rot @ I would turn a -0.0 entry into +0.0
         return SequenceEnsembleResult(t_matrix=rot[0] * probs[0] + rot[1] * probs[1],
                                       n_steps=1, dt=dt, total_probability=float(probs.sum()))
-    # products[a, c, j] is entry (a, j) of the product for the (n - 1)-step prefix c,
-    # in the order rot[b_{n-2}] @ (... @ (rot[b_1] @ rot[b_0])).  Extending a block
-    # of prefixes by one level is then one (3 x 3) @ (3 x 3 * block) product; both
-    # halves are written block by block, because their memory bounds interleave and
-    # matmul copies an input that may overlap its output (here 288 kB at most).
+
+    # The (n - 1)-step prefixes are split into subtrees: subtree `low` holds every prefix
+    # whose code has `low` in its low bits, that is, the same first levels.  The pairwise
+    # sum halves its terms top bit first, so it sums over the high bits while the low bits
+    # stay fixed: each subtree folds alone to a 3 x 3 partial, and folding the partials
+    # the same way gives the bits of one sum over all prefixes.
     half = n_seq // 2
-    products = np.empty((3, half, 3))
-    products[:, :2] = rot.transpose(1, 0, 2)
-    for k in range(1, n_steps - 1):
-        m = 2**k
-        for i in range(0, m, 4096):
-            j = min(i + 4096, m)
+    size = min(half, _SUBTREE)
+    n_low = half // size
+    # The heads are the prefixes of the first min(n - 1, 12) levels, one block.  Subtree
+    # `low` starts from the heads with its low bits, so no subtree repeats their
+    # products.  head_probs holds the probabilities of those sequences, taken on the
+    # way to all 2**n.
+    n_head = min(half, _BLOCK)
+    _extend_probabilities(probs[:n_head], w, 2)
+    head_probs = probs[:n_head].copy()
+    _extend_probabilities(probs, w, n_head)
+    # numpy's pairwise sum over the contiguous array fixes the bits of the total.
+    total = float(probs.sum())
+    del probs  # each subtree rebuilds its own probabilities in cache
+
+    # With one subtree the heads are its first block, and numpy skips their copy onto
+    # themselves below: a separate 295 kB array fresh from mmap costs about 0.1 ms,
+    # a tenth of n = 14 on a 2-core Xeon VM.
+    products = np.empty((3, size, 3))
+    heads = products[:, :n_head]
+    heads[:, :2] = rot.transpose(1, 0, 2)
+    _extend_products(heads, rot, 2)
+    if n_low > 1:  # every subtree overwrites products
+        heads = heads.copy()
+    seeds = n_head // n_low
+
+    # A subtree's sequence probabilities: row c holds prefix c at last level +1, row
+    # size + c at level -1.  Each is the same left-to-right product of its factors as
+    # in the full array, so it has the same bits; rebuilding them in cache beats the
+    # strided reads of the full array, one cache line per value (n = 20: 48 -> 24 ms).
+    # Each is held thrice, one per column of its product, so scaling a block is a
+    # product along whole rows, not numpy's inner loop over 3 entries.
+    sub_probs = np.empty((2 * size, 3))
+    width = min(size, _BLOCK)
+    lower, upper = np.empty((3, 3 * width)), np.empty((3, 3 * width))
+    partials = np.empty((3, n_low, 3))
+    for low in range(n_low):
+        products[:, :seeds] = heads[:, low::n_low]
+        _extend_products(products, rot, seeds)
+        sub_probs[:seeds] = head_probs[low::n_low, None]
+        _extend_probabilities(sub_probs, w, seeds)
+        # The last level is added block by block in cache and never stored.  Adding the
+        # two weighted products of a prefix is the first halving of the pairwise sum.
+        for i in range(0, size, width):
+            flat = products[:, i : i + width].reshape(3, -1)
+            np.matmul(rot[0], flat, out=lower)
+            np.matmul(rot[1], flat, out=upper)
+            lower *= sub_probs[i : i + width].reshape(-1)
+            upper *= sub_probs[size + i : size + i + width].reshape(-1)
+            np.add(lower, upper, out=flat)
+        partials[:, low] = _halve(products)
+    return SequenceEnsembleResult(
+        t_matrix=_halve(partials).copy(),
+        n_steps=n_steps,
+        dt=dt,
+        total_probability=total,
+    )
+
+
+def _extend_probabilities(probs: np.ndarray, w: np.ndarray, m: int) -> None:
+    """Double the first ``m`` sequence probabilities in place until ``probs`` is full.
+
+    Bit k of a sequence's code is its level at step k: 0 for s=+1, 1 for s=-1.
+    The first m = 2**k rows hold every k-step sequence; doubling to k + 1 steps
+    writes the codes with bit k set above them.  Bit k - 1, the previous level,
+    is 0 on [0, h) and 1 on [h, m).  A row may hold copies of one probability.
+    """
+    while m < len(probs):
+        h = m // 2
+        np.multiply(probs[:h], w[1, 0], out=probs[m : m + h])
+        np.multiply(probs[h:m], w[1, 1], out=probs[m + h : 2 * m])
+        probs[:h] *= w[0, 0]
+        probs[h:m] *= w[0, 1]
+        m *= 2
+
+
+def _extend_products(products: np.ndarray, rot: np.ndarray, m: int) -> None:
+    """Double the first ``m`` prefix products in place until ``products`` is full.
+
+    ``products[a, c, j]`` is entry (a, j) of the product for prefix c, in the order
+    ``rot[b_k] @ (... @ rot[b_0])``, its codes laid out as in
+    ``_extend_probabilities``.  A block of prefixes takes one more level by one
+    (3 x 3) @ (3 x 3 * block) product; both halves are written block by block,
+    because their memory bounds interleave and matmul copies an input that may
+    overlap its output (here 288 kB at most).
+    """
+    while m < products.shape[1]:
+        for i in range(0, m, _BLOCK):
+            j = min(i + _BLOCK, m)
             block = products[:, i:j].reshape(3, -1)
             np.matmul(rot[1], block, out=products[:, m + i : m + j].reshape(3, -1))
             np.matmul(rot[0], block, out=block)
+        m *= 2
 
-    # The last level is added block by block in cache and never stored: prefix c
-    # becomes sequence c at level +1 and c + half at level -1.  Adding the two
-    # weighted products is the first halving of the pairwise sum below.
-    for i in range(0, half, 4096):
-        j = min(i + 4096, half)
-        block = products[:, i:j]
-        flat = block.reshape(3, -1)
-        lower = (rot[0] @ flat).reshape(block.shape)
-        upper = (rot[1] @ flat).reshape(block.shape)
-        lower *= probs[i:j, None]
-        upper *= probs[half + i : half + j, None]
-        lower += upper
-        block[...] = lower
 
-    # Pairwise sum in place: a running sum over 2**18 terms drifts past 1e-12.
-    for k in range(n_steps - 1, 0, -1):
-        products[:, : 2 ** (k - 1)] += products[:, 2 ** (k - 1) : 2**k]
-    t_matrix = products[:, 0].copy()  # a view would pin all 2**(n - 1) products
-    return SequenceEnsembleResult(
-        t_matrix=t_matrix,
-        n_steps=n_steps,
-        dt=dt,
-        total_probability=float(probs.sum()),
-    )
+def _halve(terms: np.ndarray) -> np.ndarray:
+    """Pairwise sum of ``terms[:, c]`` over its 2**k codes c in place, top bit first.
+
+    A running sum over 2**18 terms drifts past 1e-12.  Returns a view of the sum.
+    """
+    m = terms.shape[1]
+    while m > 1:
+        m //= 2
+        terms[:, :m] += terms[:, m : 2 * m]
+    return terms[:, 0]
 
 
 def _telegraph_levels(f: FluctuatorSpec, p_plus: float, size: int, t_grid,
@@ -265,6 +343,7 @@ def sample_trajectories(
     """
     f = _single_fluctuator(sys)
     n_samples, workers = _integer(n_samples, "n_samples"), _integer(workers, "workers")
+    seed = _seed(seed)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
@@ -315,6 +394,7 @@ def sample_dwell_times(f: FluctuatorSpec, n_dwells: int, seed: int) -> np.ndarra
     """
     if _integer(n_dwells, "n_dwells") < 1:
         raise ValueError("n_dwells must be >= 1")
+    seed = _seed(seed)
     if f.gamma <= 0.0:
         raise ValueError("frozen fluctuator has no finite dwell times")
     rng = np.random.default_rng(seed)
@@ -347,6 +427,7 @@ def empirical_spectrum(f: FluctuatorSpec, n_samples: int = 400, seed: int = 0) -
 
     if _integer(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be >= 1")
+    seed = _seed(seed)
     if f.eta != 0.0:
         raise ValueError("spectrum estimation is implemented for eta = 0 only")
     if f.gamma <= 0.0:

@@ -90,9 +90,11 @@ class ChannelRates:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # A bang-bang candidate rate may be inf; NaN fails this comparison.
         for name in ("rate_z", "rate_xy", "rate_x", "rate_y"):
-            if getattr(self, name) < -1e-10:
-                raise ValueError(f"{name} must be >= 0 up to roundoff")
+            value = getattr(self, name)
+            if not value >= -1e-10:
+                raise ValueError(f"{name} must be >= 0 up to roundoff, got {value}")
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,13 @@ def free_decay_rates(sys: SystemSpec) -> ChannelRates:
     return extract_rates(spectral_decomposition(decoherence_generator(sys)))
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def longitudinal_rates(b0: float, g: float, gamma: float, eta: float = 0.0) -> ChannelRates:
     """Closed-form rates for noise parallel to the static field.
 
@@ -293,6 +302,7 @@ def longitudinal_rates(b0: float, g: float, gamma: float, eta: float = 0.0) -> C
     switch (eta = +-gamma), and saturating at ``gamma`` for g > gamma
     when eta = 0.
     """
+    _require_finite(b0=b0, g=g, gamma=gamma, eta=eta)
     if gamma < 0 or abs(eta) > gamma:
         raise ValueError("require gamma >= 0 and |eta| <= gamma")
     root = np.sqrt(complex(gamma**2 - g**2 + 2j * g * eta))
@@ -314,6 +324,7 @@ def longitudinal_eigenvalues(b0: float, g: float, gamma: float, eta: float = 0.0
     sector m in {0, +-1} contributes the pair
     ``gamma - i b0 m +- sqrt(gamma**2 - g**2 m**2 - 2 i g eta m)``.
     """
+    _require_finite(b0=b0, g=g, gamma=gamma, eta=eta)
     out = []
     for m in (0, 1, -1):
         root = np.sqrt(complex(gamma**2 - g**2 * m**2 - 2j * g * eta * m))
@@ -334,6 +345,7 @@ def transverse_eigenvalues(b0: float, g: float, gamma: float, eta: float = 0.0) 
 
     Their root multiset equals the numerical spectrum of the generator.
     """
+    _require_finite(b0=b0, g=g, gamma=gamma, eta=eta)
     if eta != 0.0:
         raise ValueError("transverse closed form requires zero rate imbalance (eta = 0)")
     first = np.roots([1.0, -2.0 * gamma, b0**2 + g**2, -2.0 * b0**2 * gamma])
@@ -404,6 +416,10 @@ def angle_sweep(
     ``free_decay_rates`` point by point.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
+    if theta_grid.ndim != 1:
+        raise ValueError(f"theta_grid must be a 1-d grid, got shape {theta_grid.shape}")
+    if not np.all(np.isfinite(theta_grid)):
+        raise ValueError(f"theta must be finite, got {theta_grid[~np.isfinite(theta_grid)]}")
     couplings = g * np.stack([np.sin(theta_grid), np.zeros_like(theta_grid),
                               np.cos(theta_grid)], axis=-1)
     # The angles share b0, gamma and eta, and so the boundary maps: one spec checks and

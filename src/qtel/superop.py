@@ -520,6 +520,8 @@ def transfer_from_spectral(sd: SpectralDecomposition, times) -> np.ndarray:
     if sd.operator.kind != KIND_GENERATOR:
         raise ValueError("transfer_from_spectral requires a generator-kind superoperator")
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-d grid, got shape {times.shape}")
     if not np.all((times >= 0) & (times < np.inf)):  # NaN fails this too
         raise ValueError("times must be >= 0 and not NaN or infinite")
     out = _compose(sd, [("free", times)], sd.operator.boundary[1]).copy()

@@ -176,6 +176,32 @@ def test_oracles_reject_what_they_cannot_model(oracle, sys, message):
         oracle(sys)
 
 
+# A sampler is reproducible only from its seed: None would draw OS entropy.
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        pytest.param(lambda seed: sample_trajectories(make_system(), X_AXIS, [1.0], 10, seed),
+                     id="trajectories"),
+        pytest.param(lambda seed: sample_dwell_times(
+            FluctuatorSpec(g=[0, 0, 0.3], gamma=0.1, eta=0.0), 10, seed), id="dwell-times"),
+        pytest.param(lambda seed: empirical_spectrum(
+            FluctuatorSpec(g=[0.1, 0, 0], gamma=0.5, eta=0.0), 10, seed), id="spectrum"),
+    ],
+)
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        pytest.param(None, "seed must be an integer, got None", id="none"),
+        pytest.param(True, "seed must be an integer, got True", id="bool"),
+        pytest.param(1.5, "seed must be an integer, got 1.5", id="float"),
+        pytest.param(-1, "seed must be >= 0, got -1", id="negative"),
+    ],
+)
+def test_samplers_reject_bad_seeds(sampler, seed, message):
+    with pytest.raises(ValueError, match=message):
+        sampler(seed)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # Only empirical_spectrum needs scipy.optimize, and it imports it on use.
     import qtel
@@ -219,9 +245,11 @@ class TestMonteCarlo:
 
     def test_numpy_integer_counts_accepted(self):
         sys = make_system(theta=0.4, eta=0.05)
-        got = sample_trajectories(sys, X_AXIS, [1.0], np.int64(10), seed=0, workers=np.int64(1))
+        got = sample_trajectories(sys, X_AXIS, [1.0], np.int64(10), seed=np.uint64(0),
+                                  workers=np.int64(1))
         want = sample_trajectories(sys, X_AXIS, [1.0], 10, seed=0)
         assert got.n_samples == 10 and type(got.n_samples) is int
+        assert got.seed == 0 and type(got.seed) is int
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.stderr, want.stderr)
 
     def test_noise_free_sampling_is_deterministic(self):
@@ -417,16 +445,27 @@ class TestEnumerationBits:
         ids=[*(f"grid-{i}" for i in range(len(ENUM_VERIFY_GRID))), "g-zero", "frozen"],
     )
     def test_equals_reference(self, gamma, eta, g, theta):
+        # Up to 15 steps the 2**(n - 1) prefixes form one subtree; 16, 17 and 18 steps fold
+        # 2, 4 and 8 subtree partials.
         for n, b0, dt in [*((n, b0, dt) for n in range(1, 15) for b0 in (0.0, 2.3)
-                            for dt in (0.1, 0.37)), (18, 1.0, 0.1)]:
+                            for dt in (0.1, 0.37)),
+                          *((n, b0, 0.37) for n in (16, 17) for b0 in (0.0, 2.3)), (18, 1.0, 0.1)]:
             sys = make_system(b0=b0, g=g, theta=theta, gamma=gamma, eta=eta)
             result = enumerate_sequences(sys, dt, n)
             t_matrix, total = reference_enumeration(sys, dt, n)
             assert np.array_equal(result.t_matrix, t_matrix), (n, b0, dt)
             assert result.total_probability == total, (n, b0, dt)
 
+    def test_most_subtrees_equal_reference(self):
+        # 19 steps fold 16 partials of 2**14 prefixes each.
+        sys = make_system(b0=2.3, g=0.3, theta=0.7, gamma=0.1, eta=0.05)
+        result = enumerate_sequences(sys, 0.37, 19)
+        t_matrix, total = reference_enumeration(sys, 0.37, 19)
+        assert np.array_equal(result.t_matrix, t_matrix)
+        assert result.total_probability == total
+
     def test_memory_below_all_products(self):
-        # The 2**16 products of 16 steps would take 4.5 MiB; only the 2**15 prefixes are kept.
+        # The 2**16 products of 16 steps would take 4.5 MiB; only 2**14 prefixes are kept.
         sys = make_system(theta=0.7, gamma=0.3, eta=-0.1)
         tracemalloc.start()
         try:
@@ -435,6 +474,18 @@ class TestEnumerationBits:
         finally:
             tracemalloc.stop()
         assert peak < 2**16 * 9 * 8
+
+    def test_memory_at_most_steps(self):
+        # At 20 steps the 2**20 probabilities take 8 MiB and the 2**19 prefix products
+        # would take 36 MiB more; one subtree of products is kept at a time.
+        sys = make_system(theta=0.7, gamma=0.3, eta=-0.1)
+        tracemalloc.start()
+        try:
+            enumerate_sequences(sys, 0.1, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestDwellTimes:

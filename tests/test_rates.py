@@ -6,6 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qtel import (
+    ChannelRates,
     EigendecompositionError,
     FluctuatorSpec,
     Superoperator,
@@ -368,6 +369,26 @@ class TestTransverseClosedForm:
             transverse_eigenvalues(1.0, 0.3, 0.1, eta=0.05)
 
 
+@pytest.mark.parametrize("closed_form",
+                         [longitudinal_rates, longitudinal_eigenvalues, transverse_eigenvalues])
+@pytest.mark.parametrize("name", ["b0", "g", "gamma", "eta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closed_forms_name_a_non_finite_parameter(closed_form, name, bad):
+    params = {"b0": 1.0, "g": 0.3, "gamma": 0.1, "eta": 0.0} | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        closed_form(**params)
+
+
+@pytest.mark.parametrize("name", ["rate_z", "rate_xy", "rate_x", "rate_y"])
+def test_channel_rates_reject_nan_but_keep_inf(name):
+    # A bang-bang candidate rate can be inf; a NaN rate is no rate.
+    fields = {"rate_z": 0.0, "rate_xy": 0.1, "rate_x": 0.1, "rate_y": 0.1,
+              "mode_weights": None, "method": "closed-form"}
+    with pytest.raises(ValueError, match=f"{name} must be >= 0 up to roundoff, got nan"):
+        ChannelRates(**fields | {name: np.nan})
+    assert getattr(ChannelRates(**fields | {name: np.inf}), name) == np.inf
+
+
 class TestPerturbativeRates:
     def test_aligned_weak_coupling_matches_exact(self):
         # S(0) / 2 = g**2 / (2 gamma) = 0.01, within 2% of the exact rate.
@@ -446,6 +467,20 @@ class TestAngleSweep:
     def test_empty_grid_gives_empty_result(self):
         sweep = angle_sweep(1.0, 0.3, 0.1, 0.0, [])
         assert sweep.rate_z.shape == sweep.rate_xy.shape == sweep.rate_2_star.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            pytest.param([[0.1, 0.2]], r"theta_grid must be a 1-d grid, got shape \(1, 2\)",
+                         id="2-d"),
+            pytest.param(0.1, r"theta_grid must be a 1-d grid, got shape \(\)", id="scalar"),
+            pytest.param([0.1, np.nan], "theta must be finite", id="nan"),
+            pytest.param([np.inf], "theta must be finite", id="inf"),
+        ],
+    )
+    def test_bad_grid_rejected(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            angle_sweep(1.0, 0.3, 0.2, 0.0, grid)
 
     def test_sweep_split_into_stacks_equals_one_stack(self, monkeypatch):
         thetas = np.linspace(0.0, np.pi / 2, 61)

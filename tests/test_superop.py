@@ -675,6 +675,15 @@ class TestEvolveOperator:
         with pytest.raises(ValueError, match="t must be >= 0 and not NaN"):
             evolve_operator(gen, np.nan, sd)
 
+    @pytest.mark.parametrize("times", [[[0.0, 1.0]], 1.0], ids=["2-d", "scalar"])
+    def test_time_grid_must_be_1d(self, times):
+        sys = make_system()
+        sd = spectral_decomposition(decoherence_generator(sys))
+        with pytest.raises(ValueError, match="times must be a 1-d grid"):
+            transfer_from_spectral(sd, times)
+        with pytest.raises(ValueError, match="echo times must be a 1-d grid"):
+            echo_signal(sys, times)
+
     def test_infinite_time_raises(self):
         sys = make_system()
         gen = decoherence_generator(sys)
