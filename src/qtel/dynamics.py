@@ -36,6 +36,8 @@ from .superop import (
     _decompose_stack,
     _exp_generator,
     _member_blocks,
+    _mode_weights,
+    _pair_scaled,
     _sweep_member,
 )
 
@@ -188,8 +190,8 @@ def bang_bang_operator(
     modes ``readout @ V`` and coefficients ``V^-1 @ prepare``, from the maps
     ``sd.operator.boundary`` that every ``tau`` shares, the pulsed decay rates
     follow from the eigenvalues ``mu`` and the weights ``|modes * coeffs.T|``,
-    and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``, taken as the
-    real part of its sum over each real ``mu`` and each conjugate pair.  A period
+    and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``, formed from the
+    real pair form of the period's decomposition.  A period
     flagged defective degrades instead of raising: its transfer is
     ``readout @ U**n_pulses @ prepare`` by matrix power, and its rates, still
     from the weights, carry the ``near-defective`` flag.  The period is real by
@@ -240,14 +242,11 @@ def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
         candidate_rates = -np.log(np.abs(mu)) / taus[:, None]
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
     readout, prepare = sd.operator.boundary
-    modes, coeffs = readout @ spectra.right_vectors, spectra.left_vectors @ prepare
     near = _rate_resolution(spectra.condition, spectra.defective, 1.0 / taus)
-    rates = _select_rates(candidate_rates, np.abs(modes * coeffs.transpose(0, 2, 1)), near, name)
-    # One power per real eigenvalue and per pair (its Im > 0 member, counted twice): the
-    # pair's other member adds the complex conjugate, so the transfer is the real part.
-    powers = np.power(mu, n_pulses, out=np.zeros_like(mu), where=mu.imag >= 0)
-    powers[mu.imag > 0] *= 2.0
-    transfer = ((modes * powers[:, None, :]) @ coeffs).real
+    rates = _select_rates(candidate_rates, _mode_weights(sd.operator.boundary, spectra), near, name)
+    # U**n = V_r B L_r with B the block form of mu**n, so the transfer is real by construction.
+    modes = _pair_scaled(readout @ spectra.v_r, spectra.partner, mu**n_pulses)
+    transfer = modes @ (spectra.l_r @ prepare)
     defective = spectra.defective
     if defective.any():
         powered = np.linalg.matrix_power(periods[defective], n_pulses)

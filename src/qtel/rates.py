@@ -273,10 +273,8 @@ def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
     ``near-defective`` flag; one without left vectors raises
     ``EigendecompositionError``.
     """
-    left = sd.left_vectors
-    if left is None:  # NaN weights, which the selection rejects
-        left = np.full_like(sd.right_vectors, np.nan)
-    weights = _mode_weights(sd.operator.boundary, sd.right_vectors, left)
+    # A failed inversion leaves NaN weights, which the selection rejects.
+    weights = _mode_weights(sd.operator.boundary, sd)
     near = _rate_resolution([sd.condition], [sd.defective], np.abs(sd.eigenvalues).max())
     return _select_rates(sd.eigenvalues.real[None], weights[None], near).member(0, sd.defective)
 
@@ -430,7 +428,7 @@ def angle_sweep(
     for block in _member_blocks(len(theta_grid), sys.dimension):
         name = _sweep_member(block, len(theta_grid))
         spectra = _decompose_stack(_generator_stack(sys, couplings[block, None, :]), name)
-        weights = _mode_weights(boundary, spectra.right_vectors, spectra.left_vectors)
+        weights = _mode_weights(boundary, spectra)
         # Only the rates are kept: the grouping decides only the ambiguity flags.
         selected = _smallest_rates(spectra.eigenvalues.real, weights, name)
         rz[block], rxy[block] = selected[:, 2], selected[:, 3]

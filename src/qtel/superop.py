@@ -17,16 +17,15 @@ one engine here applies these factors, over a time grid, to the columns of the
 z column for the echo), and the free transfer matrix T(t) is its one-segment case.
 
 Every operator is real, so its complex eigenpairs come in conjugate pairs,
-which LAPACK returns next to each other, the member with ``Im lambda > 0``
-first, as two real columns ``Re v`` and ``Im v``.  Everything
-after the eigensolver runs on this real pair form: ``V_r`` holds those columns,
-``L_r = V_r^-1``, and ``exp(-t P) = V_r B(t) L_r`` with ``B(t)`` block diagonal,
-``exp(-lambda t)`` for a real eigenvalue and, for a pair ``alpha +- i beta``
-(``beta > 0``), the scaled rotation
-``exp(-alpha t) [[cos beta t, -sin beta t], [sin beta t, cos beta t]]``.  A
+which LAPACK returns as two real columns ``Re v`` and ``Im v``.  A decomposition
+stores this real pair form: ``V_r`` holds those columns, ``L_r = V_r^-1``, and
+``partner[k]`` is the column of eigenvalue k's conjugate (k for a real one).
+Then ``exp(-t P) = V_r B(t) L_r`` with ``B(t)`` block diagonal: column k of
+``V_r B(t)`` is ``V_r[:, k] Re e_k - V_r[:, partner[k]] Im e_k`` with
+``e = exp(-lambda t)``, a scaled rotation for each pair ``alpha +- i beta``.  A
 contraction takes one exponential per real eigenvalue and per pair, and its
 result is real by construction.  The complex ``right_vectors`` and
-``left_vectors`` of a decomposition are the pair form unpacked, in O(d^2).
+``left_vectors`` are computed from the pair form, in O(d^2).
 
 Basis ordering is fluctuator-major: index = 3 * (fluctuator state
 index) + Bloch index (x=0, y=1, z=2), with level ``s=+1`` enumerated
@@ -99,6 +98,8 @@ class Superoperator:
     system: SystemSpec
 
     def __post_init__(self):
+        if self.kind not in (KIND_STEP, KIND_GENERATOR):
+            raise ValueError(f"kind must be 'discrete-step' or 'generator', got {self.kind!r}")
         mat = np.asarray(self.mat)
         if np.iscomplexobj(mat):
             raise ValueError(f"operator must be a real matrix, got dtype {mat.dtype}")
@@ -124,39 +125,54 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues with bi-orthonormal right/left eigenvectors.
+    """Eigenvalues with the real pair form of their right and left eigenvectors.
 
-    ``right_vectors[:, k]`` is the k-th right eigenvector and
-    ``left_vectors[k, :]`` the matching left row vector, normalized so
-    that ``left_vectors @ right_vectors == I``.  ``condition`` is the bound
-    ``||V||_F ||V^-1||_F >= cond_2(V)``, within a factor of the dimension, of
-    the right vectors V; above ``DEFECTIVE_CONDITION`` the matrix is flagged
-    defective, so propagators are formed by ``expm`` instead of from the modes.
-    ``left_vectors`` is None when V could not be inverted (``condition = inf``).
-
-    Both are unpacked from the real pair form, in which a conjugate pair's columns
-    of V, and its rows of the left vectors, are exact conjugates.  The propagators
-    read each pair's data from a column's own conjugate, so any column order works,
-    with the left rows in the same order; eigenvalues that are not closed under
-    exact conjugation raise ``EigendecompositionError``.
+    Column k of ``v_r`` is ``Re v_k`` if ``Im lambda_k > 0``, ``Im`` of its conjugate's
+    vector if ``Im lambda_k < 0`` and ``v_k`` if real; ``l_r = v_r^-1`` (all NaN when
+    the inversion failed, ``condition = inf``) and ``partner[k]`` is the index of
+    ``conj(lambda_k)``.  Any column order works; a ``partner`` that does not pair each
+    eigenvalue with its exact conjugate raises ``EigendecompositionError``.
+    ``condition`` is the bound ``||V||_F ||V^-1||_F >= cond_2(V)``, within a factor of
+    the dimension, of the complex right vectors V; above ``DEFECTIVE_CONDITION`` the
+    matrix is flagged defective, so propagators are formed by ``expm``.
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray | None
+    v_r: np.ndarray
+    l_r: np.ndarray
+    partner: np.ndarray
     condition: float
     defective: bool
     max_residual: float
     operator: Superoperator
 
     def __post_init__(self):
-        eigenvalues = np.asarray(self.eigenvalues)
-        if not np.array_equal(np.sort_complex(eigenvalues), np.sort_complex(eigenvalues.conj())):
-            raise EigendecompositionError("eigenvalues are not closed under exact conjugation")
+        lam, partner = np.asarray(self.eigenvalues), np.asarray(self.partner)
+        k = np.arange(len(lam))
+        paired = (partner[partner] == k) & (lam[partner] == lam.conj())
+        if not (paired & ((partner == k) == (lam.imag == 0))).all():
+            raise EigendecompositionError(
+                "eigenvalues are not closed under exact conjugation by partner")
 
     @property
     def dimension(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def right_vectors(self) -> np.ndarray:
+        """Complex right eigenvectors as columns; a pair's two are exact conjugates."""
+        return _complex_columns(self.v_r, self, np.arange(self.dimension))
+
+    @property
+    def left_vectors(self) -> np.ndarray | None:
+        """Complex left eigenvectors as rows, ``left_vectors @ right_vectors == I``.
+
+        None when the right vectors could not be inverted (``condition = inf``).
+        """
+        if not np.isfinite(self.condition):
+            return None
+        left = _complex_columns(self.l_r.T, self, np.arange(self.dimension)).conj().T
+        return left * np.where(self.eigenvalues.imag == 0, 1.0, 0.5)[:, None]
 
 
 def fluctuator_dissipator(gamma: float, eta: float) -> np.ndarray:
@@ -248,31 +264,24 @@ def _generator_stack(sys: SystemSpec, couplings: np.ndarray) -> np.ndarray:
 
 
 class _Spectra(NamedTuple):
-    """Per-member fields of ``SpectralDecomposition`` for a stack of operators.
+    """The fields of ``SpectralDecomposition`` for a stack of operators, member first.
 
-    ``left_vectors[b]`` is NaN where member b's inversion failed
-    (``condition[b] = inf``).
+    ``l_r[b]`` is NaN where member b's inversion failed (``condition[b] = inf``).
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
+    v_r: np.ndarray
+    l_r: np.ndarray
+    partner: np.ndarray
     condition: np.ndarray
     defective: np.ndarray
     max_residual: np.ndarray
 
     def member(self, b: int, op: Superoperator) -> SpectralDecomposition:
-        """Member b as the decomposition of ``op``; no left vectors if its inversion failed."""
-        condition = float(self.condition[b])
-        return SpectralDecomposition(
-            eigenvalues=self.eigenvalues[b],
-            right_vectors=self.right_vectors[b],
-            left_vectors=self.left_vectors[b] if np.isfinite(condition) else None,
-            condition=condition,
-            defective=bool(self.defective[b]),
-            max_residual=float(self.max_residual[b]),
-            operator=op,
-        )
+        """Member b as the decomposition of ``op``."""
+        return SpectralDecomposition(self.eigenvalues[b], self.v_r[b], self.l_r[b], self.partner[b],
+                                     float(self.condition[b]), bool(self.defective[b]),
+                                     float(self.max_residual[b]), op)
 
 
 def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
@@ -287,8 +296,8 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
 
     The stack is real, and every step after the eigensolver runs on the pair form:
     the residual ``P V_r - V_r Lambda_r``, with ``Lambda_r`` holding the 2x2 block
-    ``[[alpha, beta], [-beta, alpha]]`` of each pair, the inverse ``V_r^-1`` and the
-    condition are all ``float64``.  A member whose eigenvalues are not in adjacent
+    ``[[alpha, beta], [-beta, alpha]]`` of each pair, the inverse ``L_r = V_r^-1`` and
+    the condition are all ``float64``.  A member whose eigenvalues are not in adjacent
     exact conjugate pairs raises instead of being mis-paired.
     """
     if not np.all(np.isfinite(mats)):
@@ -298,10 +307,11 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
         eigenvalues, right = np.linalg.eig(mats)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigendecompositionError(f"eigensolver failed to converge: {exc}") from exc
-    # A stack whose eigenvalues are all real comes back real.
-    eigenvalues, right = eigenvalues.astype(complex, copy=False), right.astype(complex, copy=False)
-    first, second = _pair_layout(eigenvalues, name)
-    packed = _pack_columns(right, second)
+    # A stack whose eigenvalues are all real comes back real.  A pair's second vector is
+    # the exact conjugate of its first, so its -Im is the first's Im.
+    eigenvalues = eigenvalues.astype(complex, copy=False)
+    first, second, partner = _pair_layout(eigenvalues, name)
+    packed = np.where(second[..., None, :], -right.imag, right.real)
 
     # Column k of the residual is (P V_r - V_r Lambda_r)_k: column a of a pair gains
     # beta V_r[:, b] and column b loses beta V_r[:, a].  The two are the real and imaginary
@@ -337,20 +347,17 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
     weight = np.where(first | second, 2.0, 1.0)
     condition = np.sqrt(np.einsum("...ik,...ik,...k->...", packed, packed, weight)
                         * np.einsum("...ki,...ki,...k->...", inverse, inverse, 1.0 / weight))
-    del packed
-    left = _complex_rows(inverse, first, second)
-    del inverse
     condition[np.isnan(condition)] = np.inf
     defective = ~np.isfinite(condition) | (condition > DEFECTIVE_CONDITION)
-    return _Spectra(eigenvalues, right, left, condition, defective, max_residual)
+    return _Spectra(eigenvalues, packed, inverse, partner, condition, defective, max_residual)
 
 
-def _pair_layout(eigenvalues: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of each conjugate pair's first (``Im > 0``) and second member, ``(B, d)`` each.
+def _pair_layout(eigenvalues: np.ndarray, name) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of each conjugate pair's first (``Im > 0``) and second member, and ``partner``.
 
-    The second member must directly follow the first and be its exact conjugate,
-    as LAPACK returns a real matrix's pairs; a member that breaks this raises
-    ``EigendecompositionError``, named by ``name(b)``.
+    All are ``(B, d)``.  The second member must directly follow the first and be its
+    exact conjugate, as LAPACK returns a real matrix's pairs; a member that breaks this
+    raises ``EigendecompositionError``, named by ``name(b)``.  Only here is that read.
     """
     first, second = eigenvalues.imag > 0, eigenvalues.imag < 0
     conjugate = eigenvalues[..., 1:] == eigenvalues[..., :-1].conj()
@@ -362,41 +369,7 @@ def _pair_layout(eigenvalues: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]
             "complex eigenvalues are not in adjacent conjugate pairs, Im > 0 first, "
             f"so the real pair form cannot be built ({name(b)})"
         )
-    return first, second
-
-
-def _pack_columns(z: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Real columns of the pair form: a pair's first column takes Re, its second ``-Im``.
-
-    ``second`` marks each pair's second column, the exact conjugate of the first, so it
-    gives the first's Im wherever it stands; every other column keeps its real part.
-    Applied to V this gives ``V_r``, and to ``V * exp(-lambda t)`` the product ``V_r B(t)``.
-    """
-    return np.where(second[..., None, :], -z.imag, z.real)
-
-
-def _packed_rows(left: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """``L_r = V_r^-1`` from the complex left rows, each read from its own row.
-
-    A pair's first row is ``2 Re l``, its second ``2 Im l`` and a real one ``Re l``.
-    """
-    first, second = eigenvalues.imag > 0, eigenvalues.imag < 0
-    return np.where(second[..., :, None], 2.0 * left.imag,
-                    left.real * np.where(first, 2.0, 1.0)[..., :, None])
-
-
-def _complex_rows(inverse: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Complex left rows from ``L_r``: a pair's rows a, a + 1 are ``0.5 (r_a -+ i r_{a+1})``.
-
-    The two rows of a pair are exact conjugates.
-    """
-    left = np.empty(inverse.shape, complex)
-    np.multiply(inverse, np.where(first | second, 0.5, 1.0)[..., :, None], out=left.real)
-    np.multiply(inverse, np.where(second, 0.5, 0.0)[..., :, None], out=left.imag)
-    starts = first[..., :-1, None]
-    np.multiply(inverse[..., :-1, :], 0.5, out=left.real[..., 1:, :], where=starts)
-    np.multiply(inverse[..., 1:, :], -0.5, out=left.imag[..., :-1, :], where=starts)
-    return left
+    return first, second, np.arange(eigenvalues.shape[-1]) + first - second
 
 
 def _member_blocks(n_members: int, dim: int) -> list[slice]:
@@ -425,10 +398,10 @@ def _sweep_member(block: slice, n_members: int, taus: np.ndarray | None = None):
 def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
     """Diagonalize a superoperator with bi-orthonormal left/right pairs.
 
-    Left vectors are the rows of the inverse right-eigenvector matrix,
-    which makes the bi-orthonormalization exact up to inversion error
-    and keeps degenerate (but diagonalizable) subspaces consistently
-    paired.  No SVD runs: residuals are scaled by the larger of the largest
+    The left vectors are the rows of ``l_r``, the inverse of the real pair form
+    ``v_r`` of the right vectors, which makes the bi-orthonormalization exact up
+    to inversion error and keeps degenerate (but diagonalizable) subspaces
+    consistently paired.  No SVD runs: residuals are scaled by the larger of the largest
     column norm and the spectral radius, both at most ``||P||_2``, and a
     Frobenius ``condition`` above ``DEFECTIVE_CONDITION`` or a failed
     inversion (``condition = inf``) sets the ``defective`` flag.  The
@@ -453,13 +426,39 @@ def boundary_projectors(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return lifted, (prepare[:, None, None] * np.eye(3)).reshape(-1, 3)
 
 
-def _mode_weights(boundary, right_vectors: np.ndarray, left_vectors: np.ndarray) -> np.ndarray:
+def _complex_columns(x: np.ndarray, sd, k: np.ndarray) -> np.ndarray:
+    """Complex vectors ``k`` of ``sd`` from its packed columns ``x`` (last axis).
+
+    A pair's ``Im > 0`` member is ``x_k + i x_partner``, the other its conjugate, and a
+    real eigenvalue's vector ``x_k``.  ``sd`` is one decomposition.
+    """
+    imag, partner = sd.eigenvalues.imag[k], sd.partner
+    upper = np.where(imag < 0, partner[k], k)
+    return x[..., upper] + 1j * np.sign(imag) * x[..., partner[upper]]
+
+
+def _pair_scaled(x: np.ndarray, partner: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Packed columns ``x`` times the block-diagonal ``B`` of the complex scalings ``e``.
+
+    Column k is ``x_k Re e_k - x_partner Im e_k``; ``x``, ``partner`` and ``e`` are one
+    decomposition's or a stack's, and ``e`` may carry leading axes of its own.
+    """
+    partners = np.take_along_axis(x, partner[..., None, :], axis=-1)
+    return x * e.real[..., None, :] - partners * e.imag[..., None, :]
+
+
+def _mode_weights(boundary, sd) -> np.ndarray:
     """Weight ``|(readout v_k)_c (l_k prepare)_c|`` of mode k in channel c, shape (..., 3, d).
 
-    ``boundary`` is ``(readout, prepare)``; the vectors are one decomposition's or a stack's.
+    ``boundary`` is ``(readout, prepare)`` and ``sd`` one decomposition or a stack.  With
+    ``m = readout V_r`` and ``c = L_r prepare``, mode k with partner p weighs
+    ``hypot(m_k, m_p) hypot(c_k, c_p) / 2``: ``|m_k c_k|`` for a real eigenvalue (p = k).
     """
     readout, prepare = boundary
-    return np.abs((readout @ right_vectors) * np.swapaxes(left_vectors @ prepare, -1, -2))
+    m = readout @ sd.v_r
+    c = 0.5 * np.swapaxes(sd.l_r @ prepare, -1, -2)
+    p = sd.partner[..., None, :]
+    return np.hypot(m, np.take_along_axis(m, p, -1)) * np.hypot(c, np.take_along_axis(c, p, -1))
 
 
 def _exp_generator(sd: SpectralDecomposition, t) -> np.ndarray:
@@ -469,10 +468,8 @@ def _exp_generator(sd: SpectralDecomposition, t) -> np.ndarray:
     ``t.shape + (d, d)``.
     """
     if not sd.defective:
-        lam = sd.eigenvalues
-        decay = np.exp(-lam * np.expand_dims(t, -1))
-        scaled = _pack_columns(sd.right_vectors * decay[..., None, :], lam.imag < 0)
-        return scaled @ _packed_rows(sd.left_vectors, lam)
+        decay = np.exp(-sd.eigenvalues * np.expand_dims(t, -1))
+        return _pair_scaled(sd.v_r, sd.partner, decay) @ sd.l_r
     full = [scipy.linalg.expm(-s * sd.operator.mat) for s in np.ravel(t)]
     return np.reshape(full, np.shape(t) + sd.operator.mat.shape)
 
@@ -499,6 +496,8 @@ def evolve_operator(
     """
     if op.kind != KIND_GENERATOR:
         raise ValueError("evolve_operator requires a generator-kind superoperator")
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be a scalar time, got shape {np.shape(t)}")
     if not 0 <= t < np.inf:  # NaN fails this too
         raise ValueError(f"t must be >= 0 and not NaN or infinite, got {t}")
     if t == 0.0:
@@ -542,17 +541,16 @@ def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarra
     if sd.defective:
         return _compose_expm(sd, steps, prepare)
     # Only each real eigenvalue's mode and each pair's Im > 0 mode are carried: the pair's
-    # other mode adds the complex conjugate, so a pair's left row counts twice and every
-    # result is the real part of the sum.
-    half = sd.eigenvalues.imag >= 0
+    # other mode adds the complex conjugate, so a pair's left row counts twice,
+    # ``2 l_k = L_r[k] - i L_r[partner k]``, and every result is the real part of the sum.
+    half = np.flatnonzero(sd.eigenvalues.imag >= 0)
     lam = sd.eigenvalues[half]
-    twice = np.where(lam.imag > 0, 2.0, 1.0)[:, None]
     h = len(lam)
     # Only a pulse takes a block back to the state basis, through these h columns of V;
-    # a free grid copies no d x h part of the vectors, so at N = 8 it stays within the
+    # a free grid builds no d x h part of the vectors, so at N = 8 it stays within the
     # memory of its decomposition.
     if any(kind == "pulse" for kind, _ in steps):
-        right = sd.right_vectors[:, half]
+        right = _complex_columns(sd.v_r, sd, half)
     # The block is d x (T * m), so each factor is one matrix product.  A free step leaves
     # it in these h mode coordinates with its T x h decay kept apart until the next pulse
     # or the readout: a free grid never builds d x T x m.
@@ -561,7 +559,7 @@ def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarra
         if kind == "free":
             factor = np.exp(np.multiply.outer(-np.ravel(value), lam))
             if decay is None:
-                block, decay = (sd.left_vectors @ block)[half] * twice, factor
+                block, decay = _complex_columns((sd.l_r @ block).T, sd, half).conj().T, factor
             else:
                 decay = decay * factor
             continue
@@ -571,7 +569,7 @@ def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarra
         block = (value @ block.reshape(d // 3, 3, -1)).reshape(d, -1)
     if decay is None:
         return (readout @ block).reshape(3, -1, m).transpose(1, 0, 2)
-    modes = (readout @ sd.right_vectors)[:, half]
+    modes = _complex_columns(readout @ sd.v_r, sd, half)
     if block.shape[1] == m:
         # One column group: T(t) = Re sum_k exp(-lambda_k t) W_k over the h modes, with
         # W[k, m c + j] = modes[c, k] block[k, j]; the real and imaginary parts of the

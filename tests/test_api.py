@@ -77,8 +77,8 @@ FIELDS = {
     dynamics.PulseSequence: ("events",),
     model.SystemSpec: ("b0", "fluctuators", "white_noise"),
     superop.SpectralDecomposition: (
-        "eigenvalues", "right_vectors", "left_vectors", "condition", "defective",
-        "max_residual", "operator",
+        "eigenvalues", "v_r", "l_r", "partner", "condition", "defective", "max_residual",
+        "operator",
     ),
     superop.Superoperator: ("mat", "kind", "system"),
 }

@@ -278,7 +278,7 @@ class TestBangBang:
             spectra = decompose(mats, name)
             if len(mats) == 2:
                 return spectra
-            return spectra._replace(left_vectors=np.full_like(spectra.left_vectors, np.nan))
+            return spectra._replace(l_r=np.full_like(spectra.l_r, np.nan))
 
         monkeypatch.setattr(dynamics, "_decompose_stack", second_stack_without_left_vectors)
         with pytest.raises(EigendecompositionError,

@@ -284,6 +284,11 @@ class TestSpectralDecomposition:
         with pytest.raises(ValueError, match="real matrix, got dtype complex128"):
             Superoperator(mat=np.eye(6, dtype=complex), kind=KIND_GENERATOR, system=make_system())
 
+    @pytest.mark.parametrize("kind", ["gen", "Generator", "discrete_step", ""])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"'discrete-step' or 'generator', got"):
+            Superoperator(mat=np.eye(6), kind=kind, system=make_system())
+
     def test_diagonal_operator(self):
         sys = make_system()
         mat = np.diag(np.arange(6.0))
@@ -373,7 +378,8 @@ class TestDecomposeStack:
         # LAPACK returns real arrays when every eigenvalue of the stack is real.
         mats = np.stack([np.diag(np.arange(6.0)), np.diag(np.arange(6.0)[::-1])])
         spectra = _decompose_stack(mats)
-        assert spectra.eigenvalues.dtype == spectra.right_vectors.dtype == np.complex128
+        assert spectra.eigenvalues.dtype == np.complex128
+        assert spectra.v_r.dtype == spectra.l_r.dtype == np.float64
         assert not spectra.defective.any()
 
     def test_singular_member_leaves_others_unchanged(self):
@@ -427,6 +433,36 @@ def complex_reference(mat):
     return left, residual, np.linalg.norm(right) * np.linalg.norm(left)
 
 
+STORED_SYSTEMS = [mixed_fluctuator_system(n, white_noise=white) for n in (1, 2, 3, 4)
+                  for white in (None, (0.01, 0.0, 0.02))]
+STORED_IDS = [f"N{n}-{white}" for n in (1, 2, 3, 4) for white in ("plain", "white")]
+
+
+@pytest.mark.parametrize("sys", STORED_SYSTEMS, ids=STORED_IDS)
+class TestStoredPairForm:
+    """The stored ``v_r``, ``l_r`` and ``partner`` of tilted fluctuators with eta != 0."""
+
+    def test_pair_form_rebuilds_the_operator(self, sys):
+        # P V_r = V_r Lambda_r: Lambda_r holds Re lambda_k on the diagonal and
+        # -Im lambda_k at (partner k, k).
+        gen = decoherence_generator(sys)
+        sd = spectral_decomposition(gen)
+        k = np.arange(sd.dimension)
+        assert np.array_equal(sd.partner[sd.partner], k)
+        assert np.array_equal(sd.eigenvalues[sd.partner], sd.eigenvalues.conj())
+        lam_r = np.diag(sd.eigenvalues.real)
+        lam_r[sd.partner, k] -= sd.eigenvalues.imag
+        assert_allclose(sd.v_r @ lam_r @ sd.l_r, gen.mat, rtol=0, atol=1e-12)
+        assert_allclose(sd.l_r @ sd.v_r, np.eye(sd.dimension), rtol=0, atol=1e-12)
+
+    def test_pair_weights_match_complex_vectors(self, sys):
+        sd = spectral_decomposition(decoherence_generator(sys))
+        readout, prepare = sd.operator.boundary
+        want = np.abs((readout @ sd.right_vectors) * (sd.left_vectors @ prepare).T)
+        got = superop._mode_weights(sd.operator.boundary, sd)
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+
+
 class TestPairForm:
     """The real pair form against complex arithmetic on the same eigenvectors."""
 
@@ -474,9 +510,11 @@ class TestPairForm:
             for b, mat in enumerate(mats):
                 assert_member_matches_single(spectra, b, mat)
                 left, residual, condition = complex_reference(mat)
-                assert_allclose(spectra.left_vectors[b] @ spectra.right_vectors[b], np.eye(6),
+                member = spectra.member(b, Superoperator(mat=mat, kind=KIND_GENERATOR,
+                                                         system=make_system()))
+                assert_allclose(member.left_vectors @ member.right_vectors, np.eye(6),
                                 rtol=0, atol=1e-12)
-                assert_allclose(spectra.left_vectors[b], left, rtol=0, atol=1e-12 * np.abs(left).max())
+                assert_allclose(member.left_vectors, left, rtol=0, atol=1e-12 * np.abs(left).max())
                 assert spectra.condition[b] == pytest.approx(condition, rel=1e-12)
         assert not _decompose_stack(real[None]).eigenvalues.imag.any()
 
@@ -523,32 +561,40 @@ class TestPairForm:
     def test_any_column_order_gives_the_same_outputs(self, sys, order):
         # Sorted by real part, then imaginary part, each pair's Im < 0 member comes first; a
         # random order also parts the two members.  Every read takes a pair's data from a
-        # column's own conjugate, so neither order changes a result.
+        # column's partner, so neither order changes a result.
         sd = spectral_decomposition(decoherence_generator(sys))
         if order == "argsort":
             perm = np.argsort(sd.eigenvalues)
         else:
             perm = np.random.default_rng(19).permutation(sd.dimension)
         assert not np.array_equal(perm, np.arange(sd.dimension))
-        moved = dataclasses.replace(sd, eigenvalues=sd.eigenvalues[perm],
-                                    right_vectors=sd.right_vectors[:, perm],
-                                    left_vectors=sd.left_vectors[perm])
+        moved = dataclasses.replace(sd, eigenvalues=sd.eigenvalues[perm], v_r=sd.v_r[:, perm],
+                                    l_r=sd.l_r[perm], partner=np.argsort(perm)[sd.partner[perm]])
+        assert np.array_equal(moved.right_vectors, sd.right_vectors[:, perm])
+        assert np.array_equal(moved.left_vectors, sd.left_vectors[perm])
         want, got = self.outputs(sd), self.outputs(moved)
         assert got.pop("flags") == want.pop("flags")
         for key, value in want.items():
             assert_allclose(got[key], value, rtol=0, atol=1e-13, err_msg=key)
 
-    @pytest.mark.parametrize("broken", ["perturbed", "unpaired"])
+    @pytest.mark.parametrize("broken", ["perturbed", "unpaired", "partner-self", "partner-real"])
     def test_spectrum_not_closed_under_conjugation_raises(self, broken):
         sd = spectral_decomposition(decoherence_generator(make_system(theta=0.7)))
-        eigenvalues = sd.eigenvalues.copy()
+        eigenvalues, partner = sd.eigenvalues.copy(), sd.partner.copy()
         k = int(np.flatnonzero(eigenvalues.imag < 0)[0])
+        real = np.flatnonzero(eigenvalues.imag == 0)[:2]
         if broken == "perturbed":
             eigenvalues[k] = complex(eigenvalues[k].real, np.nextafter(eigenvalues[k].imag, 0.0))
-        else:
+        elif broken == "unpaired":
             eigenvalues[k] = eigenvalues[k].real
+        elif broken == "partner-self":
+            partner[[k, partner[k]]] = k, partner[k]
+        else:
+            # Two equal real eigenvalues paired with each other are not a conjugate pair.
+            eigenvalues[real[1]] = eigenvalues[real[0]]
+            partner[real] = real[::-1]
         with pytest.raises(EigendecompositionError, match="closed under exact conjugation"):
-            dataclasses.replace(sd, eigenvalues=eigenvalues)
+            dataclasses.replace(sd, eigenvalues=eigenvalues, partner=partner)
 
     def test_grid_after_a_pulse_matches_expm(self):
         # Two grid segments around a pulse read out T column groups, not one.
@@ -657,6 +703,14 @@ class TestEvolveOperator:
         gen = decoherence_generator(make_system())
         with pytest.raises(ValueError, match=">= 0"):
             evolve_operator(gen, -1.0)
+
+    @pytest.mark.parametrize("t", [np.array([1.0, 2.0]), [0.5], np.array([[1.0]])])
+    def test_array_time_rejected(self, t):
+        # A grid goes through transfer_from_spectral; here numpy would fail on the truth
+        # value of an array.
+        gen = decoherence_generator(make_system())
+        with pytest.raises(ValueError, match="t must be a scalar time, got shape"):
+            evolve_operator(gen, t)
 
     def test_step_kind_rejected(self):
         step = discrete_transfer_operator(make_system(), 0.1)
