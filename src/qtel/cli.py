@@ -7,8 +7,10 @@ embeds the fully resolved config; re-running the embedded config with
 the same seed reproduces the CSV byte for byte.
 
 Experiments: free-decay, rates-sweep, bang-bang, echo, mc-verify,
-enum-verify.  Presets (fig2 ... fig6) reproduce the library's reference
-figures at desk scale.
+enum-verify.  Each is one ``EXPERIMENTS`` entry: a runner that returns
+the table's rows, and the table's columns and units; ``run`` builds the
+``ResultTable``.  Presets (fig2 ... fig6) reproduce the library's
+reference figures at desk scale.
 
 A config is checked in full before any work starts.  Each raw value must
 first have the type its field is annotated with.  This module keeps
@@ -55,9 +57,6 @@ from .superop import (
 )
 
 __all__ = ["ExperimentConfig", "ResultTable", "ConfigError", "presets", "run", "main"]
-
-EXPERIMENTS = ("free-decay", "rates-sweep", "bang-bang", "echo", "mc-verify", "enum-verify")
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; message aggregates every problem found.
@@ -329,41 +328,27 @@ def _atomic_write(path: Path, text: str):
 # experiment payloads
 
 
-def _run_free_decay(cfg: ExperimentConfig) -> ResultTable:
+def _run_free_decay(cfg: ExperimentConfig) -> np.ndarray:
     times = np.linspace(0.0, cfg.t_max, cfg.t_points)
     traj = free_trajectory(cfg.system(), np.asarray(cfg.initial, float), times)
     if cfg.frame == "rotating":
         traj = to_rotating_frame(traj, cfg.b0)
-    rows = np.column_stack([traj.times, traj.points])
-    return ResultTable(
-        name="free-decay",
-        columns=("t", "n_x", "n_y", "n_z"),
-        units=("1/B0", "1", "1", "1"),
-        rows=rows,
-        config=cfg,
-    )
+    return np.column_stack([traj.times, traj.points])
 
 
-def _run_rates_sweep(cfg: ExperimentConfig) -> ResultTable:
+def _run_rates_sweep(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.theta_values:
         thetas = np.asarray(cfg.theta_values, dtype=float)
     else:
         thetas = np.linspace(0.0, np.pi / 2.0, cfg.theta_points)
     sweeps = [angle_sweep(cfg.b0, cfg.g, cfg.gamma, eta, thetas) for eta in cfg.eta_values]
-    rows = np.concatenate([
+    return np.concatenate([
         np.column_stack([s.theta, np.full_like(s.theta, s.eta), s.rate_z, s.rate_xy, s.rate_2_star])
         for s in sweeps
     ])
-    return ResultTable(
-        name="rates-sweep",
-        columns=("theta", "eta", "inv_t1", "inv_t2", "inv_t2_star"),
-        units=("rad", "B0", "B0", "B0", "B0"),
-        rows=rows,
-        config=cfg,
-    )
 
 
-def _run_bang_bang(cfg: ExperimentConfig) -> ResultTable:
+def _run_bang_bang(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.tau_spacing == "log":
         taus = np.geomspace(cfg.tau_min, cfg.tau_max, cfg.tau_points)
     else:
@@ -376,17 +361,10 @@ def _run_bang_bang(cfg: ExperimentConfig) -> ResultTable:
     rate_xy = np.array([result.rates.rate_xy for result in pulsed])
     norm_z = rate_z / free.rate_z if free.rate_z > 0 else np.full_like(taus, np.nan)
     norm_xy = rate_xy / free.rate_xy if free.rate_xy > 0 else np.full_like(taus, np.nan)
-    rows = np.column_stack([taus, rate_z, rate_xy, norm_z, norm_xy])
-    return ResultTable(
-        name="bang-bang",
-        columns=("tau", "rate_z", "rate_xy", "norm_rate_z", "norm_rate_xy"),
-        units=("1/B0", "B0", "B0", "1", "1"),
-        rows=rows,
-        config=cfg,
-    )
+    return np.column_stack([taus, rate_z, rate_xy, norm_z, norm_xy])
 
 
-def _run_echo(cfg: ExperimentConfig) -> ResultTable:
+def _run_echo(cfg: ExperimentConfig) -> np.ndarray:
     times = np.linspace(0.0, cfg.t_max, cfg.t_points)
     thetas = np.asarray(cfg.theta_values, dtype=float)
     couplings = cfg.g * np.array([[math.sin(theta), 0.0, math.cos(theta)] for theta in thetas])
@@ -400,39 +378,24 @@ def _run_echo(cfg: ExperimentConfig) -> ResultTable:
         for b, sys in enumerate(systems[block]):
             op = Superoperator(mat=mats[b], kind=KIND_GENERATOR, system=sys)
             signals.append(echo_signal(sys, times, sd=spectra.member(b, op)))
-    rows = np.column_stack([np.repeat(thetas, len(times)), np.tile(times, len(thetas)),
+    return np.column_stack([np.repeat(thetas, len(times)), np.tile(times, len(thetas)),
                             np.concatenate(signals)])
-    return ResultTable(
-        name="echo",
-        columns=("theta", "t", "signal"),
-        units=("rad", "1/B0", "1"),
-        rows=rows,
-        config=cfg,
-    )
 
 
-def _run_mc_verify(cfg: ExperimentConfig) -> ResultTable:
+def _run_mc_verify(cfg: ExperimentConfig) -> np.ndarray:
     sys = cfg.system()
     times = np.asarray(cfg.probe_times, dtype=float)
-    estimate = sample_trajectories(
-        sys, np.asarray(cfg.initial, float), times, cfg.n_samples, cfg.seed, workers=cfg.workers
-    )
+    initial = np.asarray(cfg.initial, float)
+    estimate = sample_trajectories(sys, initial, times, cfg.n_samples, cfg.seed,
+                                   workers=cfg.workers)
     sd = spectral_decomposition(decoherence_generator(sys))
-    exact = transfer_from_spectral(sd, times) @ np.asarray(cfg.initial, float)
-    rows = []
-    for k, t in enumerate(times):
-        for c in range(3):
-            err = estimate.mean[k, c] - exact[k, c]
-            sigma = estimate.stderr[k, c]
-            nsig = abs(err) / sigma if sigma > 0 else 0.0
-            rows.append([t, c, estimate.mean[k, c], sigma, exact[k, c], nsig])
-    return ResultTable(
-        name="mc-verify",
-        columns=("t", "component", "mc_mean", "mc_stderr", "exact", "nsigma"),
-        units=("1/B0", "0=x 1=y 2=z", "1", "1", "1", "1"),
-        rows=np.array(rows),
-        config=cfg,
-    )
+    exact = transfer_from_spectral(sd, times) @ initial
+    # One row per probe time and component; nsigma is 0 where the estimate has no spread.
+    mean, sigma = estimate.mean, estimate.stderr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nsigma = np.where(sigma > 0, np.abs(mean - exact) / sigma, 0.0)
+    return np.column_stack([np.repeat(times, 3), np.tile(np.arange(3.0), len(times)),
+                            mean.ravel(), sigma.ravel(), exact.ravel(), nsigma.ravel()])
 
 
 # Parameter grid exercised by enum-verify: (gamma, eta, g_magnitude, theta).
@@ -450,7 +413,7 @@ ENUM_VERIFY_GRID = (
 )
 
 
-def _run_enum_verify(cfg: ExperimentConfig) -> ResultTable:
+def _run_enum_verify(cfg: ExperimentConfig) -> np.ndarray:
     worst = 0.0
     worst_prob = 0.0
     for gamma, eta, g, theta in ENUM_VERIFY_GRID:
@@ -465,22 +428,23 @@ def _run_enum_verify(cfg: ExperimentConfig) -> ResultTable:
         reference = readout @ powered @ prepare
         worst = max(worst, float(np.abs(enum.t_matrix - reference).max()))
         worst_prob = max(worst_prob, abs(enum.total_probability - 1.0))
-    return ResultTable(
-        name="enum-verify",
-        columns=("n_param_sets", "n_steps", "dt", "max_abs_error", "max_prob_error"),
-        units=("1", "1", "1/B0", "1", "1"),
-        rows=np.array([[len(ENUM_VERIFY_GRID), cfg.n_steps, cfg.dt, worst, worst_prob]]),
-        config=cfg,
-    )
+    return np.array([[len(ENUM_VERIFY_GRID), cfg.n_steps, cfg.dt, worst, worst_prob]])
 
 
-_RUNNERS = {
-    "free-decay": _run_free_decay,
-    "rates-sweep": _run_rates_sweep,
-    "bang-bang": _run_bang_bang,
-    "echo": _run_echo,
-    "mc-verify": _run_mc_verify,
-    "enum-verify": _run_enum_verify,
+# Each experiment is declared here once: the runner that returns its rows, and the
+# table's columns and units.  Config checks and the CLI read the names in this order.
+EXPERIMENTS = {
+    "free-decay": (_run_free_decay, ("t", "n_x", "n_y", "n_z"), ("1/B0", "1", "1", "1")),
+    "rates-sweep": (_run_rates_sweep, ("theta", "eta", "inv_t1", "inv_t2", "inv_t2_star"),
+                    ("rad", "B0", "B0", "B0", "B0")),
+    "bang-bang": (_run_bang_bang, ("tau", "rate_z", "rate_xy", "norm_rate_z", "norm_rate_xy"),
+                  ("1/B0", "B0", "B0", "1", "1")),
+    "echo": (_run_echo, ("theta", "t", "signal"), ("rad", "1/B0", "1")),
+    "mc-verify": (_run_mc_verify, ("t", "component", "mc_mean", "mc_stderr", "exact", "nsigma"),
+                  ("1/B0", "0=x 1=y 2=z", "1", "1", "1", "1")),
+    "enum-verify": (_run_enum_verify,
+                    ("n_param_sets", "n_steps", "dt", "max_abs_error", "max_prob_error"),
+                    ("1", "1", "1/B0", "1", "1")),
 }
 
 
@@ -491,7 +455,8 @@ def run(cfg: ExperimentConfig, out_dir, name: str | None = None) -> Path:
     byte-identical across re-runs of the same config and seed.
     """
     start = time.perf_counter()
-    table = _RUNNERS[cfg.experiment](cfg)
+    runner, columns, units = EXPERIMENTS[cfg.experiment]
+    table = ResultTable(cfg.experiment, columns, units, runner(cfg), cfg)
     wall = time.perf_counter() - start
     out_dir = Path(out_dir)
     stem = name or cfg.experiment

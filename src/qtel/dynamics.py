@@ -87,6 +87,9 @@ class BlochTrajectory:
         points = np.asarray(self.points, dtype=float)
         if times.ndim != 1 or points.shape != (len(times), 3):
             raise ValueError("times must be 1-d and points of shape (len(times), 3)")
+        for name, values in (("times", times), ("points", points)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing with times[0] = 0")
         norms = np.linalg.norm(points, axis=1)
@@ -167,6 +170,8 @@ def to_rotating_frame(traj: BlochTrajectory, b0: float) -> BlochTrajectory:
     """Undo the static-field precession: n_rot(t) = R_z(-b0 t) n(t)."""
     if traj.frame != FRAME_LAB:
         raise ValueError("trajectory is already in the rotating frame")
+    if not np.isfinite(b0):
+        raise ValueError(f"b0 must be finite, got {b0}")
     angles = -b0 * traj.times
     cos, sin = np.cos(angles), np.sin(angles)
     x, y, z = traj.points.T

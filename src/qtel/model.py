@@ -65,11 +65,11 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
 
     The axis need not be normalized; a zero axis gives the identity.
     The closed form keeps the result orthogonal to machine precision,
-    with no series truncation.  A NaN or infinite angle raises.
+    with no series truncation.  A NaN or infinite angle or axis raises.
     """
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
-    axis = np.asarray(axis, dtype=float)
+    axis = _as_vector3(axis, "axis")
     norm = float(np.linalg.norm(axis))
     if norm == 0.0:
         return np.eye(3)

@@ -285,9 +285,9 @@ def free_decay_rates(sys: SystemSpec) -> ChannelRates:
 
 
 def _require_finite(**values: float) -> None:
-    """Raise ``ValueError`` naming the first of ``values`` that is NaN or infinite."""
+    """Raise ``ValueError`` naming the first of ``values`` that is or holds NaN or infinity."""
     for name, value in values.items():
-        if not np.isfinite(value):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -355,8 +355,12 @@ def telegraph_spectrum(omega, gamma: float, g: float) -> np.ndarray:
     """Lorentzian power spectrum of symmetric telegraph noise.
 
     ``S(omega) = 4 gamma g**2 / (omega**2 + 4 gamma**2)``: the Fourier
-    transform of the autocorrelation ``g**2 exp(-2 gamma |t|)``.
+    transform of the autocorrelation ``g**2 exp(-2 gamma |t|)``.  A non-finite
+    value or ``gamma <= 0`` raises.
     """
+    _require_finite(omega=omega, gamma=gamma, g=g)
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
     omega = np.asarray(omega, dtype=float)
     return 4.0 * gamma * g**2 / (omega**2 + 4.0 * gamma**2)
 
@@ -371,7 +375,9 @@ def perturbative_rates(
     (relaxation driven at the qubit splitting), combined as
     ``1/T2* = 1/(2 T1) + 1/T_phi``.  Valid for symmetric switching
     only; the comparison is meaningless for biased telegraph noise.
+    A non-finite value or ``gamma <= 0`` raises.
     """
+    _require_finite(b0=b0, g=g, gamma=gamma, theta=theta, eta=eta)
     if eta != 0.0:
         raise ValueError("perturbative comparison is defined for eta = 0 only")
     rate_phi, rate_1, rate_2_star = (float(r[0]) for r in

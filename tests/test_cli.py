@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from qtel import cli, dynamics, superop
 from qtel.cli import ConfigError, ExperimentConfig, presets, run, main
 from qtel.dynamics import echo_signal
-from qtel.superop import decoherence_generator, spectral_decomposition
+from qtel.oracle import sample_trajectories
+from qtel.superop import decoherence_generator, spectral_decomposition, transfer_from_spectral
 
 # Every preset on a grid small enough for the suite, keeping its experiment and parameters.
 SHRUNK = {
@@ -243,6 +244,25 @@ class TestRun:
         nsigma = rows[:, 5]
         assert nsigma.max() < 6.0
 
+    # Noise along z keeps +z fixed in every sample: each stderr is 0, and so each nsigma.
+    @pytest.mark.parametrize("spread, overrides", [(True, {}), (False, {"theta": 0.0})])
+    def test_mc_verify_rows_match_per_entry_loop(self, spread, overrides):
+        cfg = ExperimentConfig.from_dict(MC_VERIFY | overrides | {"n_samples": 2000, "seed": 7})
+        rows = cli._run_mc_verify(cfg)
+        sys, initial = cfg.system(), np.array(cfg.initial)
+        estimate = sample_trajectories(sys, initial, np.array(cfg.probe_times), cfg.n_samples,
+                                       cfg.seed)
+        exact = transfer_from_spectral(spectral_decomposition(decoherence_generator(sys)),
+                                       np.array(cfg.probe_times)) @ initial
+        expected = []
+        for k, t in enumerate(cfg.probe_times):
+            for c in range(3):
+                sigma = estimate.stderr[k, c]
+                nsig = abs(estimate.mean[k, c] - exact[k, c]) / sigma if sigma > 0 else 0.0
+                expected.append([t, c, estimate.mean[k, c], sigma, exact[k, c], nsig])
+        assert np.array_equal(rows, np.array(expected))
+        assert np.all(rows[:, 3] > 0) if spread else np.all(rows[:, 3] == 0)
+
     def test_enum_verify_errors_below_tolerance(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"experiment": "enum-verify", "n_steps": 12, "dt": 0.1})
         csv_path = run(cfg, tmp_path)
@@ -298,15 +318,15 @@ class TestRun:
         cfg = ExperimentConfig.from_dict({"experiment": "echo", "g": 0.1, "gamma": 0.1,
                                           "theta_values": [0.7, 1.2, 0.0],
                                           "t_max": 40.0, "t_points": 41})
-        table = cli._run_echo(cfg)
+        rows = cli._run_echo(cfg)
         times = np.linspace(0.0, cfg.t_max, cfg.t_points)
         for k, theta in enumerate(cfg.theta_values):
             sys = cfg.system(g_vector=cfg.g * np.array([math.sin(theta), 0.0, math.cos(theta)]))
             assert spectral_decomposition(decoherence_generator(sys)).defective == (theta == 0.0)
-            rows = table.rows[k * len(times):(k + 1) * len(times)]
-            assert np.array_equal(rows[:, 0], np.full(len(times), theta))
-            assert np.array_equal(rows[:, 1], times)
-            assert np.array_equal(rows[:, 2], echo_signal(sys, times))
+            block = rows[k * len(times):(k + 1) * len(times)]
+            assert np.array_equal(block[:, 0], np.full(len(times), theta))
+            assert np.array_equal(block[:, 1], times)
+            assert np.array_equal(block[:, 2], echo_signal(sys, times))
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"experiment": "enum-verify"})

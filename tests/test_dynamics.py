@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from qtel import (
     BangBangResult,
     BlochTrajectory,
+    FluctuatorDistribution,
     FluctuatorSpec,
     PulseSequence,
     SystemSpec,
@@ -77,6 +79,12 @@ class TestRotatingFrame:
         )
         with pytest.raises(ValueError, match="already"):
             to_rotating_frame(rot, 1.0)
+
+    @pytest.mark.parametrize("b0", [np.nan, np.inf])
+    def test_non_finite_field_named(self, strong_mixed_system, b0):
+        lab = free_trajectory(strong_mixed_system, X_AXIS, np.linspace(0, 5, 11))
+        with pytest.raises(ValueError, match=f"b0 must be finite, got {b0}"):
+            to_rotating_frame(lab, b0)
 
     def test_strong_coupling_oscillates_in_rotating_frame(self, strong_mixed_system):
         traj = to_rotating_frame(
@@ -625,6 +633,103 @@ class TestAlignedEnsembleFactorizes:
         assert abs(got) > 0.1 and abs(got - want) <= 1e-13
 
 
+def frozen_levels(sys):
+    """Weight and total field of each joint level of a frozen ensemble.
+
+    A level lists one ``s_i = +-1`` per fluctuator; its weight is the product of the
+    fluctuators' occupations ``p_plus`` (s = +1) or ``p_minus`` (s = -1), and its field
+    is ``b0 z + sum_i s_i g_i``.
+    """
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=sys.n_fluctuators)))
+    occupation = np.array([[d.p_plus, d.p_minus] for d in sys.distributions()])
+    weights = np.where(signs > 0, occupation[:, 0], occupation[:, 1]).prod(axis=1)
+    fields = np.array([0.0, 0.0, sys.b0]) + signs @ np.array([f.g for f in sys.fluctuators])
+    return weights, fields
+
+
+def frozen_schedule(sys, factors):
+    """``expm_schedule`` of a frozen ensemble, as the weighted sum over its joint levels.
+
+    Each level's free segments are the fixed rotation about its own field.
+    """
+    total = np.zeros((3, 3))
+    for weight, b in zip(*frozen_levels(sys)):
+        full = np.eye(3)
+        for factor in factors:
+            if isinstance(factor, tuple):
+                full = rotation_matrix(*factor) @ full
+            else:
+                full = rotation_matrix(b, np.linalg.norm(b) * factor) @ full
+        total += weight * full
+    return total
+
+
+class TestFrozenEnsembleIsStaticField:
+    """An outside reference for tilted couplings at N >= 2: frozen switches.
+
+    With every ``gamma = eta = 0`` no fluctuator ever switches, so each joint level
+    keeps its static field ``b0 z + sum_i s_i g_i`` and every transfer, pulsed or not,
+    is the level-weighted sum of fixed rotations.  This checks the couplings, the
+    boundary maps and the pulses of the generator, not its switching.
+    """
+
+    TIMES = np.linspace(0.0, 12.0, 7)
+
+    @pytest.fixture(scope="class", params=range(2, 8))
+    def frozen(self, request):
+        n = request.param
+        rng = np.random.default_rng(n)
+        sys = SystemSpec(b0=1.0, fluctuators=tuple(
+            FluctuatorSpec(g=rng.normal(scale=0.25, size=3), gamma=0.0, eta=0.0,
+                           initial_distribution=FluctuatorDistribution.from_upper(0.15 + 0.1 * i))
+            for i in range(n)))
+        return sys, spectral_decomposition(decoherence_generator(sys))
+
+    def test_level_weights_and_fields(self):
+        fluctuators = (
+            FluctuatorSpec(g=[0.1, 0.0, 0.2], gamma=0.0,
+                           initial_distribution=FluctuatorDistribution.from_upper(0.2)),
+            # Stationary occupation (gamma - s eta) / (2 gamma): s = +1 leaves at gamma + eta.
+            FluctuatorSpec(g=[0.0, 0.3, 0.0], gamma=0.4, eta=0.1),
+        )
+        weights, fields = frozen_levels(SystemSpec(b0=1.0, fluctuators=fluctuators))
+        assert_allclose(weights, [0.2 * 0.375, 0.2 * 0.625, 0.8 * 0.375, 0.8 * 0.625],
+                        rtol=1e-15)
+        assert_allclose(fields, [[0.1, 0.3, 1.2], [0.1, -0.3, 1.2],
+                                 [-0.1, 0.3, 0.8], [-0.1, -0.3, 0.8]], rtol=1e-15)
+
+    def test_free_transfers(self, frozen):
+        sys, sd = frozen
+        expected = [frozen_schedule(sys, [t]) for t in self.TIMES]
+        assert_allclose(transfer_from_spectral(sd, self.TIMES), expected, rtol=0, atol=1e-12)
+
+    def test_echo(self, frozen):
+        sys, sd = frozen
+        half, flip = (X_AXIS, np.pi / 2), (X_AXIS, np.pi)
+        expected = [frozen_schedule(sys, [half, t / 2, flip, t / 2, half])[2, 2]
+                    for t in self.TIMES]
+        assert_allclose(echo_signal(sys, self.TIMES, sd=sd), expected, rtol=0, atol=1e-12)
+
+    def test_cpmg(self, frozen):
+        sys, sd = frozen
+        tau = 1.7
+        seq = PulseSequence(events=((0.0, X_AXIS, np.pi / 2),)
+                            + tuple(((k + 0.5) * tau, Y_AXIS, np.pi) for k in range(4)))
+        expected = frozen_schedule(
+            sys, [(X_AXIS, np.pi / 2), tau / 2] + [(Y_AXIS, np.pi), tau] * 3
+            + [(Y_AXIS, np.pi), tau / 2])
+        assert_allclose(sequence_operator(sys, seq, 4 * tau, sd=sd), expected, rtol=0,
+                        atol=1e-12)
+
+    def test_bang_bang_transfer(self, frozen):
+        # Each period is the pulse, then the free segment.
+        sys, sd = frozen
+        tau = 1.3
+        expected = frozen_schedule(sys, [(Y_AXIS, np.pi), tau] * 8)
+        result = bang_bang_operator(sys, tau, 8, axis="y", sd=sd)
+        assert_allclose(result.transfer, expected, rtol=0, atol=1e-12)
+
+
 class TestExceptionalPoint:
     """Aligned noise at g = gamma (eta = 0), where two modes coalesce.
 
@@ -668,6 +773,15 @@ class TestBlochTrajectory:
                 points=np.array([[0, 0, 1.0], [0, 0, 1.5]]),
                 frame="lab",
             )
+
+    # NaN fails every comparison, so only a finiteness check stops it.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_times_and_points(self, bad):
+        with pytest.raises(ValueError, match="times must be finite"):
+            BlochTrajectory(times=np.array([0.0, bad]), points=np.zeros((2, 3)), frame="lab")
+        points = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="points must be finite"):
+            BlochTrajectory(times=np.array([0.0, 1.0]), points=points, frame="lab")
 
     def test_rejects_unknown_frame(self):
         with pytest.raises(ValueError, match="frame"):

@@ -98,6 +98,11 @@ class TestStepRotation:
         with pytest.raises(ValueError, match="angle must be finite"):
             rotation_matrix(axis, angle)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rotation_rejects_non_finite_axis(self, bad):
+        with pytest.raises(ValueError, match="axis must be finite"):
+            rotation_matrix([bad, 0.0, 1.0], 0.3)
+
 
 class TestFluctuatorStatistics:
     def test_symmetric_switching(self):

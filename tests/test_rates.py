@@ -424,6 +424,30 @@ class TestPerturbativeRates:
                 pert = perturbative_rates(1.0, g, gamma, theta).rate_2_star
                 assert abs(exact - pert) / exact < 0.05
 
+    @pytest.mark.parametrize("name, value", [
+        ("b0", np.nan), ("g", np.inf), ("gamma", np.nan), ("theta", np.nan), ("theta", -np.inf),
+        ("eta", np.nan),
+    ])
+    def test_non_finite_parameter_named(self, name, value):
+        args = {"b0": 1.0, "g": 0.1, "gamma": 0.5, "theta": 0.3} | {name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            perturbative_rates(**args)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    def test_non_positive_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma must be > 0, got {gamma}"):
+            perturbative_rates(1.0, 0.1, gamma, 0.3)
+        with pytest.raises(ValueError, match=f"gamma must be > 0, got {gamma}"):
+            telegraph_spectrum(0.0, gamma, 0.1)
+
+    @pytest.mark.parametrize("name, args", [
+        ("omega", ([0.0, np.nan], 0.5, 0.1)), ("omega", (np.inf, 0.5, 0.1)),
+        ("gamma", (0.0, np.inf, 0.1)), ("g", (0.0, 0.5, np.nan)),
+    ])
+    def test_spectrum_rejects_non_finite(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            telegraph_spectrum(*args)
+
     def test_spectrum_normalization(self):
         # S(omega) = 4 gamma g^2 / (omega^2 + 4 gamma^2).
         assert_allclose(telegraph_spectrum(0.0, 0.5, 0.1), 0.02, rtol=1e-12)
