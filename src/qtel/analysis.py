@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _require_finite
+
 __all__ = [
     "Plateau",
     "StepStructure",
@@ -144,10 +146,11 @@ def detect_steps(times, signal) -> StepStructure:
 
     The step period is the mean spacing of drop centers, counting drops
     after the first plateau begins (the initial transient is not a
-    step).
+    step).  A NaN or infinite time or signal value raises ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
+    _require_finite(times=times, signal=signal)
     logs = np.log(np.clip(np.abs(signal), 1e-12, None))
     slope = np.gradient(logs, times)
     peak_drop = max(-slope.min(), 0.0)
@@ -183,10 +186,13 @@ def fit_exponential_decay(times, signal, t_skip: float = 0.0) -> ExponentialFit:
     ``t_skip`` (dropping the initial transient) and ending where the
     signal falls below ``FIT_FLOOR``.  When the window contains enough
     local maxima, only the peak envelope is fitted, which removes
-    oscillation bias.
+    oscillation bias.  A NaN or infinite time or signal value raises
+    ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
-    signal = np.abs(np.asarray(signal, dtype=float))
+    signal = np.asarray(signal, dtype=float)
+    _require_finite(times=times, signal=signal)
+    signal = np.abs(signal)
     mask = (times >= t_skip) & (signal > FIT_FLOOR)
     tt, ss = times[mask], signal[mask]
     if len(tt) < 4:

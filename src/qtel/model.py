@@ -51,6 +51,13 @@ def so3_generators():
     return _GENERATORS[0], _GENERATORS[1], _GENERATORS[2]
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is or holds NaN or infinity."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _as_vector3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
@@ -91,11 +98,12 @@ def step_rotation(b0: float, g, s: int, dt: float) -> np.ndarray:
 
     Parameters
     ----------
-    b0 : static field magnitude along z.
+    b0 : static field magnitude along z (finite).
     g : noise coupling 3-vector.
     s : fluctuator state, +1 or -1.
     dt : interval duration (finite and >= 0; dt == 0 returns the identity).
     """
+    _require_finite(b0=b0)
     if s not in (1, -1):
         raise ValueError(f"fluctuator state must be +1 or -1, got {s}")
     if not 0 <= dt < np.inf:  # NaN fails this too

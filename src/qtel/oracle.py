@@ -20,7 +20,9 @@ user, so ``import qtel`` neither loads nor pays for that package.
 
 from __future__ import annotations
 
+import math
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +53,14 @@ CHUNK_SIZE = 8192
 # 2**15 prefixes took 8.4, 7.5, 6.5 and 6.7 ms on one BLAS thread.
 _BLOCK = 4096
 _SUBTREE = 2**14
+# The total probability is summed one block of 2**15 sequences (256 kB) at a time.
+_PROB_BLOCK = 2**15
+
+# Each thread keeps the enumeration's subtree buffers (2.9 MB at 2**14 prefixes) for its
+# next call.  glibc serves a call's largest request from a fresh mmap unless a larger
+# block was freed before, and faulting those pages in took 0.4 to 1 ms per call at
+# n = 14..18 on a 2-core Xeon VM, where all of n = 14 takes 0.7 ms.
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -110,9 +120,10 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     machine precision; this identity is the central correctness check
     of the discrete formalism.
 
-    The sequences are summed one subtree of 2**14 prefixes at a time, so
-    beside the 2**n probabilities summed for ``total_probability`` the
-    working set stays under about 3 MB for any n.
+    The sequences are summed one subtree of 2**14 prefixes at a time, and
+    their probabilities one block of 2**15, so the working set stays under
+    about 3 MB for any n.  Each calling thread keeps its subtree buffers
+    for its next call.
     """
     f = _single_fluctuator(sys)
     n_steps = _integer(n_steps, "n_steps")
@@ -122,7 +133,7 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     dist = sys.distributions()[0]
 
     n_seq = 2**n_steps
-    probs = np.empty(n_seq)
+    probs = np.empty(min(n_seq, _PROB_BLOCK))
     probs[:2] = dist.p_plus, dist.p_minus
     rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
     if n_steps == 1:  # rot @ I would turn a -0.0 entry into +0.0
@@ -140,24 +151,33 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     # The heads are the prefixes of the first min(n - 1, 12) levels, one block.  Subtree
     # `low` starts from the heads with its low bits, so no subtree repeats their
     # products.  head_probs holds the probabilities of those sequences, taken on the
-    # way to all 2**n.
+    # way to the first block of all 2**n.
     n_head = min(half, _BLOCK)
     _extend_probabilities(probs[:n_head], w, 2)
     head_probs = probs[:n_head].copy()
     _extend_probabilities(probs, w, n_head)
-    # numpy's pairwise sum over the contiguous array fixes the bits of the total.
-    total = float(probs.sum())
+    total = _total_probability(probs, w, n_steps)
     del probs  # each subtree rebuilds its own probabilities in cache
 
+    # The subtree buffers, one after another in this thread's workspace.
+    width = min(size, _BLOCK)
+    shapes = [(3, size, 3), (2 * size, 3), (3, 3 * width), (3, 3 * width), (3, n_head, 3)]
+    lengths = [math.prod(shape) for shape in shapes]
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or len(buf) < sum(lengths):
+        buf = _workspace.buf = np.empty(sum(lengths))
+    starts = np.cumsum([0, *lengths])
+    products, sub_probs, lower, upper, head_copy = (
+        buf[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes))
+
     # With one subtree the heads are its first block, and numpy skips their copy onto
-    # themselves below: a separate 295 kB array fresh from mmap costs about 0.1 ms,
-    # a tenth of n = 14 on a 2-core Xeon VM.
-    products = np.empty((3, size, 3))
+    # themselves below.
     heads = products[:, :n_head]
     heads[:, :2] = rot.transpose(1, 0, 2)
     _extend_products(heads, rot, 2)
     if n_low > 1:  # every subtree overwrites products
-        heads = heads.copy()
+        head_copy[:] = heads
+        heads = head_copy
     seeds = n_head // n_low
 
     # A subtree's sequence probabilities: row c holds prefix c at last level +1, row
@@ -166,9 +186,6 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     # strided reads of the full array, one cache line per value (n = 20: 48 -> 24 ms).
     # Each is held thrice, one per column of its product, so scaling a block is a
     # product along whole rows, not numpy's inner loop over 3 entries.
-    sub_probs = np.empty((2 * size, 3))
-    width = min(size, _BLOCK)
-    lower, upper = np.empty((3, 3 * width)), np.empty((3, 3 * width))
     partials = np.empty((3, n_low, 3))
     for low in range(n_low):
         products[:, :seeds] = heads[:, low::n_low]
@@ -210,6 +227,35 @@ def _extend_probabilities(probs: np.ndarray, w: np.ndarray, m: int) -> None:
         m *= 2
 
 
+def _total_probability(first: np.ndarray, w: np.ndarray, n_steps: int) -> float:
+    """Sum of all 2**n_steps sequence probabilities, with the bits of numpy's ``sum``.
+
+    ``first`` holds the first 2**k of them, every k-step sequence, laid out as
+    in ``_extend_probabilities``.  Block b of the full array holds the codes
+    with b in their high bits: it is ``first`` times the factors of steps
+    k .. n - 1 in step order, the same product as in the full array.  Step
+    k's factor depends on bit k - 1 as well, so it scales the block's halves
+    apart.  numpy's pairwise sum over the 2**n probabilities halves them top
+    bit first, so it sums each block alone and folds the sums in adjacent
+    pairs.
+    """
+    k = len(first).bit_length() - 1
+    if k == n_steps:
+        return float(first.sum())
+    h = len(first) // 2
+    block = np.empty_like(first)
+    sums = np.empty(2 ** (n_steps - k))
+    for b in range(len(sums)):
+        np.multiply(first[:h], w[b & 1, 0], out=block[:h])
+        np.multiply(first[h:], w[b & 1, 1], out=block[h:])
+        for j in range(1, n_steps - k):
+            block *= w[(b >> j) & 1, (b >> (j - 1)) & 1]
+        sums[b] = block.sum()
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0])
+
+
 def _extend_products(products: np.ndarray, rot: np.ndarray, m: int) -> None:
     """Double the first ``m`` prefix products in place until ``products`` is full.
 
@@ -243,34 +289,37 @@ def _halve(terms: np.ndarray) -> np.ndarray:
 
 def _telegraph_levels(f: FluctuatorSpec, p_plus: float, size: int, t_grid,
                       rng: np.random.Generator, on_switch=None):
-    """Yield the levels of `size` telegraph samples at each time of `t_grid`.
+    """Yield the level indices of `size` telegraph samples at each time of `t_grid`.
 
-    The initial level is +1 with probability ``p_plus`` and the dwell in
+    A sample's level is an ``intp`` index, 0 for s = +1 and 1 for s = -1,
+    so a switch is ``1 - level`` and a dwell's rate is one ``take``.  The
+    initial level is +1 with probability ``p_plus`` and the dwell in
     level s is exponential at rate ``gamma + s * eta`` (a frozen level
     dwells forever), so switch times are exact.  Each switch round takes
     only the samples that switch before the probe: the first round scans
     every sample, and a later one keeps those of the last round whose next
-    switch still falls before it.  ``on_switch(idx, states, times)`` runs
+    switch still falls before it.  ``on_switch(idx, level, times)`` runs
     before the samples of the ascending index array ``idx`` flip at
     ``times``; the dwells are drawn in ascending sample order, one per
     switch.  The yielded array is updated in place.
     """
-    states = np.where(rng.random(size) < p_plus, 1, -1).astype(np.int8)
+    rate = f.gamma + f.eta * np.array([1.0, -1.0])
+    level = np.where(rng.random(size) < p_plus, 0, 1)
     with np.errstate(divide="ignore"):
-        next_switch = rng.exponential(1.0, size) / (f.gamma + f.eta * states)
+        next_switch = rng.exponential(1.0, size) / rate.take(level)
     for t in t_grid:
         idx = np.flatnonzero(next_switch < t)
         while idx.size:
             times = next_switch.take(idx)
             if on_switch is not None:
-                on_switch(idx, states, times)
-            flipped = -states.take(idx)
-            states[idx] = flipped
+                on_switch(idx, level, times)
+            flipped = 1 - level.take(idx)
+            level[idx] = flipped
             with np.errstate(divide="ignore"):
-                times = times + rng.exponential(1.0, idx.size) / (f.gamma + f.eta * flipped)
+                times = times + rng.exponential(1.0, idx.size) / rate.take(flipped)
             next_switch[idx] = times
             idx = idx[times < t]
-        yield states
+        yield level
 
 
 def _sample_chunk(f: FluctuatorSpec, b0: float, p_plus: float, n0: np.ndarray,
@@ -282,8 +331,14 @@ def _sample_chunk(f: FluctuatorSpec, b0: float, p_plus: float, n0: np.ndarray,
     each probe.  The two axes, their norms and unit vectors are formed once
     per chunk.  The Rodrigues step ``n cos + (u x n) sin + u (u . n)(1 - cos)``
     is written per component in the order numpy's ``cross`` and ``sum``
-    take, and the sums over samples reduce a ``(size, 3)`` copy, so the
-    estimate keeps the bits of a row-wise ``(size, 3)`` rotation.
+    take, so it keeps the bits of a row-wise ``(size, 3)`` rotation.
+
+    A switch falls strictly before its probe and a later probe strictly
+    after the last, so at a probe ``tk > 0`` every sample's cursor lies
+    before ``tk``: the probe rotates all columns in one in-place pass, and
+    at ``tk = 0`` none.  The sums over samples run down a contiguous
+    ``(size, 3)`` copy with ``einsum``, which adds each column in sequence
+    as ``sum(axis=0)`` does there, only faster.
     """
     base = np.array([0.0, 0.0, b0])
     axes = np.stack([base + f.g, base - f.g])  # rows: level +1, level -1
@@ -292,34 +347,44 @@ def _sample_chunk(f: FluctuatorSpec, b0: float, p_plus: float, n0: np.ndarray,
     n = np.tile(n0[:, None], (1, size))  # one column per sample
     cursor = np.zeros(size)
 
-    def rotate(idx, levels, dts):
-        """Rotate the samples ``idx``, in ``levels``, through the times ``dts``."""
-        level = (levels < 0).astype(np.intp)
-        angles = norms.take(level) * dts
-        cos, sin = np.cos(angles), np.sin(angles)
-        ux, uy, uz = units.take(level, axis=1)
-        nx, ny, nz = n.take(idx, axis=1)
-        dot = ux * nx + uy * ny + uz * nz
-        rest = 1.0 - cos
-        n[0, idx] = nx * cos + (uy * nz - uz * ny) * sin + ux * dot * rest
-        n[1, idx] = ny * cos + (uz * nx - ux * nz) * sin + uy * dot * rest
-        n[2, idx] = nz * cos + (ux * ny - uy * nx) * sin + uz * dot * rest
+    def rotate(v, level, dts):
+        """The columns of ``v``, in ``level``, rotated through the times ``dts``.
 
-    def switch(idx, states, times):
-        rotate(idx, states.take(idx), times - cursor.take(idx))
+        Row i is ``v_i cos + (u_j v_k - u_k v_j) sin + u_i dot (1 - cos)``
+        for (i, j, k) cyclic, built in place in that order (a sum's two
+        terms commute exactly), so each entry rounds as in the plain form.
+        """
+        angles = norms.take(level) * dts
+        cos, sin = np.cos(angles), np.sin(angles, out=angles)
+        rest = 1.0 - cos
+        u = units.take(level, axis=1)
+        dot = u[0] * v[0]
+        scratch = np.empty_like(dot)
+        dot += np.multiply(u[1], v[1], out=scratch)
+        dot += np.multiply(u[2], v[2], out=scratch)
+        out = np.empty_like(v)
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            row = np.multiply(u[j], v[k], out=out[i])
+            row -= np.multiply(u[k], v[j], out=scratch)
+            row *= sin
+            row += np.multiply(v[i], cos, out=scratch)
+            row += np.multiply(np.multiply(u[i], dot, out=scratch), rest, out=scratch)
+        return out
+
+    def switch(idx, level, times):
+        n[:, idx] = rotate(n.take(idx, axis=1), level.take(idx), times - cursor.take(idx))
         cursor[idx] = times
 
     sums = np.zeros((len(t_grid), 3))
     sumsq = np.zeros((len(t_grid), 3))
     levels = _telegraph_levels(f, p_plus, size, t_grid, rng, switch)
-    for k, (tk, states) in enumerate(zip(t_grid, levels)):
-        remaining = tk - cursor
-        moving = np.flatnonzero(remaining > 0)
-        rotate(moving, states.take(moving), remaining.take(moving))
-        cursor[:] = tk
+    for k, (tk, level) in enumerate(zip(t_grid, levels)):
+        if tk > 0:
+            n[:] = rotate(n, level, tk - cursor)
+            cursor[:] = tk
         rows = np.ascontiguousarray(n.T)
-        sums[k] = rows.sum(axis=0)
-        sumsq[k] = (rows**2).sum(axis=0)
+        sums[k] = np.einsum("ij->j", rows)
+        sumsq[k] = np.einsum("ij->j", rows**2)
     return sums, sumsq
 
 
@@ -411,7 +476,8 @@ def _sample_states_on_grid(f: FluctuatorSpec, n_grid: int, dt: float,
     """Stationary telegraph states on a uniform grid, exact dwell times."""
     p_plus = stationary_distribution(f).p_plus
     levels = _telegraph_levels(f, p_plus, n_samples, np.arange(n_grid) * dt, rng)
-    return np.stack([states.copy() for states in levels], axis=1)
+    signs = np.array([1, -1], dtype=np.int8)
+    return np.stack([signs.take(level) for level in levels], axis=1)
 
 
 def empirical_spectrum(f: FluctuatorSpec, n_samples: int = 400, seed: int = 0) -> SpectrumEstimate:

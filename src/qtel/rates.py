@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import FluctuatorSpec, SystemSpec
+from .model import FluctuatorSpec, SystemSpec, _require_finite
 from .superop import (
     EigendecompositionError,
     SpectralDecomposition,
@@ -282,13 +282,6 @@ def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
 def free_decay_rates(sys: SystemSpec) -> ChannelRates:
     """Convenience wrapper: generator, spectral decomposition, ``extract_rates``."""
     return extract_rates(spectral_decomposition(decoherence_generator(sys)))
-
-
-def _require_finite(**values: float) -> None:
-    """Raise ``ValueError`` naming the first of ``values`` that is or holds NaN or infinity."""
-    for name, value in values.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def longitudinal_rates(b0: float, g: float, gamma: float, eta: float = 0.0) -> ChannelRates:

@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .model import (_EPS, SystemSpec, _single_fluctuator, _switch_matrix, boundary_vectors,
-                    step_rotation)
+from .model import (_EPS, SystemSpec, _require_finite, _single_fluctuator, _switch_matrix,
+                    boundary_vectors, step_rotation)
 
 __all__ = [
     "Superoperator",
@@ -180,8 +180,10 @@ def fluctuator_dissipator(gamma: float, eta: float) -> np.ndarray:
 
     Columns sum to zero (probability conservation, the uniform row
     vector annihilates it from the left) and the stationary distribution
-    spans its kernel.  Eigenvalues are {0, 2 * gamma}.
+    spans its kernel.  Eigenvalues are {0, 2 * gamma}.  A NaN or infinite
+    rate raises ``ValueError``.
     """
+    _require_finite(gamma=gamma, eta=eta)
     return np.array([[gamma + eta, eta - gamma], [-gamma - eta, gamma - eta]])
 
 

@@ -88,6 +88,22 @@ class TestExponentialFit:
             fit_exponential_decay(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
 
 
+# A NaN used to pass silently: detect_steps returned has_steps=False with period NaN,
+# and fit_exponential_decay fitted the other points.
+NON_FINITE = [
+    pytest.param("signal", np.linspace(0, 1, 5), [1.0, np.nan, 1.0, 1.0, 1.0], id="nan-signal"),
+    pytest.param("signal", np.linspace(0, 1, 5), [1.0, 0.9, np.inf, 0.7, 0.6], id="inf-signal"),
+    pytest.param("times", [0.0, 0.25, np.nan, 0.75, 1.0], [1.0, 0.9, 0.8, 0.7, 0.6], id="nan-times"),
+]
+
+
+@pytest.mark.parametrize("name, times, signal", NON_FINITE)
+@pytest.mark.parametrize("analyse", [detect_steps, fit_exponential_decay])
+def test_non_finite_input_named(analyse, name, times, signal):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        analyse(times, signal)
+
+
 class TestLocalMaxima:
     def test_matches_loop_reference(self, rng):
         # Rounded samples force ties, which count as maxima.

@@ -92,6 +92,12 @@ class TestStepRotation:
         with pytest.raises(ValueError, match="dt must be finite and non-negative"):
             step_rotation(1.0, [0.1, 0.0, 0.0], 1, dt)
 
+    @pytest.mark.parametrize("b0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_field_by_name(self, b0):
+        # Unchecked, a NaN field reached rotation_matrix as "angle must be finite".
+        with pytest.raises(ValueError, match="^b0 must be finite"):
+            step_rotation(b0, [0.1, 0.0, 0.0], 1, 0.1)
+
     @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_rotation_rejects_non_finite_angle(self, axis, angle):

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +389,9 @@ class TestSamplerBits:
             pytest.param(TILTED, 0.4, 0.0, 0.0, X_AXIS, 1000, id="b0-zero"),
             pytest.param(np.array([1.2, -0.4, 0.3]), 0.5, 0.2, 1.0, np.array([0.0, 0.0, 1.0]),
                          8192, id="strong-on-axis"),
+            # Fast switching with unequal exit rates, 2.85 and 0.15 out of the two levels.
+            pytest.param(TILTED, 1.5, 1.35, 1.0, OFF_AXIS, 8192, id="fast-biased-minus"),
+            pytest.param(TILTED, 1.5, -1.35, 1.0, X_AXIS, 8192, id="fast-biased-plus"),
         ],
     )
     def test_chunk_sums_equal_reference(self, g, gamma, eta, b0, n0, size):
@@ -406,6 +411,16 @@ class TestSamplerBits:
         got = oracle._sample_states_on_grid(f, 200, dt, 300, np.random.default_rng(4))
         levels = reference_levels(f, 0.5, 300, np.arange(200) * dt, np.random.default_rng(4))
         assert np.array_equal(got, np.stack([states.copy() for states in levels], axis=1))
+
+    def test_biased_states_on_grid_equal_reference(self):
+        # Exit rates 2.7 out of +1 and 0.3 out of -1: a swap of the two changes every draw.
+        f = FluctuatorSpec(g=[0.3, 0.0, 0.0], gamma=1.5, eta=1.2)
+        dt = 0.02 / f.gamma
+        got = oracle._sample_states_on_grid(f, 200, dt, 300, np.random.default_rng(4))
+        levels = reference_levels(f, oracle.stationary_distribution(f).p_plus, 300,
+                                  np.arange(200) * dt, np.random.default_rng(4))
+        want = np.stack([states.copy() for states in levels], axis=1)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 def reference_enumeration(sys, dt, n_steps):
@@ -437,6 +452,22 @@ def reference_enumeration(sys, dt, n_steps):
     return terms[0].reshape(3, 3).copy(), float(probs.sum())
 
 
+def traced_peak(call) -> int:
+    """tracemalloc's peak while ``call`` runs in a fresh thread.
+
+    The enumeration keeps its subtree buffers per thread across calls, so only a
+    thread that has not enumerated yet allocates them inside the traced window.
+    """
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEnumerationBits:
     # The enum-verify grid, then a decoupled fluctuator and one frozen in its + level.
     @pytest.mark.parametrize(
@@ -464,28 +495,29 @@ class TestEnumerationBits:
         assert np.array_equal(result.t_matrix, t_matrix)
         assert result.total_probability == total
 
+    def test_threads_keep_their_own_buffers(self):
+        # Two threads enumerating at once give each call's serial bits.
+        systems = [make_system(b0=2.3, g=0.3, theta=0.7, gamma=gamma, eta=0.05)
+                   for gamma in (0.1, 0.6)]
+        want = [enumerate_sequences(sys, 0.37, 17).t_matrix for sys in systems]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda sys: [enumerate_sequences(sys, 0.37, 17).t_matrix
+                                             for _ in range(4)], systems))
+        assert all(np.array_equal(g, w) for runs, w in zip(got, want) for g in runs)
+
     def test_memory_below_all_products(self):
         # The 2**16 products of 16 steps would take 4.5 MiB; only 2**14 prefixes are kept.
         sys = make_system(theta=0.7, gamma=0.3, eta=-0.1)
-        tracemalloc.start()
-        try:
-            enumerate_sequences(sys, 0.1, 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: enumerate_sequences(sys, 0.1, 16))
         assert peak < 2**16 * 9 * 8
 
     def test_memory_at_most_steps(self):
-        # At 20 steps the 2**20 probabilities take 8 MiB and the 2**19 prefix products
-        # would take 36 MiB more; one subtree of products is kept at a time.
+        # At 20 steps the 2**20 probabilities would take 8 MiB and the 2**19 prefix
+        # products 36 MiB more; one block of 2**15 probabilities and one subtree of
+        # products are kept at a time.
         sys = make_system(theta=0.7, gamma=0.3, eta=-0.1)
-        tracemalloc.start()
-        try:
-            enumerate_sequences(sys, 0.1, 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20
+        peak = traced_peak(lambda: enumerate_sequences(sys, 0.1, 20))
+        assert peak < 3.5 * 2**20
 
 
 class TestDwellTimes:

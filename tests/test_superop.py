@@ -155,6 +155,17 @@ class TestGenerator:
         readout = np.array([1.0, 1.0]) / np.sqrt(2.0)
         assert_allclose(readout @ diss, 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [pytest.param("gamma", (np.nan, 0.0), id="nan-gamma"),
+         pytest.param("gamma", (np.inf, 0.0), id="inf-gamma"),
+         pytest.param("eta", (0.2, np.nan), id="nan-eta"),
+         pytest.param("eta", (0.2, -np.inf), id="inf-eta")],
+    )
+    def test_dissipator_rejects_non_finite_rate_by_name(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fluctuator_dissipator(*args)
+
     def test_stationary_distribution_is_dissipator_kernel(self):
         diss = fluctuator_dissipator(gamma=0.2, eta=0.1)
         dist = np.array([0.25, 0.75])  # (gamma -+ eta) / (2 gamma)
