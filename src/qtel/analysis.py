@@ -113,15 +113,21 @@ def detect_plateaus(times, signal, log_scale: bool = False) -> tuple[Plateau, ..
     |slope|.  The run containing t = 0 is never a plateau: every echo
     curve starts flat.  With ``log_scale`` the slope is measured on
     log|signal|, which treats fractional rather than absolute changes as
-    significant.
+    significant.  A NaN or infinite time or signal value raises
+    ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
+    _require_finite(times=times, signal=signal)
     if _within_roundoff(signal):
         return ()
     if log_scale:
         signal = np.log(np.clip(np.abs(signal), 1e-12, None))
-    slope = np.gradient(signal, times)
+    return _plateaus(times, np.gradient(signal, times))
+
+
+def _plateaus(times: np.ndarray, slope: np.ndarray) -> tuple[Plateau, ...]:
+    """The plateaus of ``detect_plateaus``, from the curve's sampled ``slope``."""
     peak = np.abs(slope).max()
     if peak == 0.0:
         return ()
@@ -162,7 +168,7 @@ def detect_steps(times, signal) -> StepStructure:
         if logs[i] - logs[j] >= MIN_LOG_DEPTH:
             drops.append(0.5 * (times[i] + times[j]))
 
-    plateaus = detect_plateaus(times, signal, log_scale=True)
+    plateaus = _plateaus(times, slope)  # on log|signal|, as with log_scale
     has_steps = len(drops) >= 2 and len(plateaus) >= 1
 
     period = float("nan")

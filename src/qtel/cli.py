@@ -139,13 +139,20 @@ class ExperimentConfig:
                 errors.append("g or g_vector: required")
             elif self.theta is None:
                 errors.append("theta: required when g is given as a magnitude")
-        if self.experiment in ("rates-sweep", "echo") and self.g is None:
-            errors.append("g: required (magnitude)")
+        if self.experiment in ("rates-sweep", "echo"):
+            if self.g is None:
+                errors.append("g: required (magnitude)")
+            if self.g_vector is not None:  # the sweeps set each angle's coupling from g
+                errors.append(f"g_vector: not read by {self.experiment}; give g and the angles")
         if self.experiment == "rates-sweep":
             if self.theta_points < 2 and not self.theta_values:
                 errors.append("theta_points or theta_values: required")
             if not self.eta_values:
                 errors.append("eta_values: required (use [0.0] for symmetric switching)")
+            if self.eta != 0.0:
+                errors.append("eta: not read by rates-sweep; give eta_values")
+            if any(v > 0 for v in self.white_noise or ()):
+                errors.append("white_noise: not read by rates-sweep; every variance must be 0")
         if self.experiment == "echo" and not self.theta_values:
             errors.append("theta_values: required")
         if self.experiment in ("free-decay", "echo") and (self.t_max <= 0 or self.t_points < 2):

@@ -11,11 +11,12 @@ inserted between free-evolution segments, composing three protocols:
 The echo and arbitrary schedules are sequences of free segments and pulses
 for the contraction engine in :mod:`qtel.superop`.  Bang-bang builds its
 ``d x d`` period operator instead: one decomposition of it gives both the
-pulsed rates and the transfer after any number of periods.  Given an array
-of pulse spacings, ``bang_bang_operator`` builds every period from the one
-generator decomposition and decomposes them as stacks, one eigensolve per
-stack; a single spacing is the one-member case.  Times and spacings must be
-finite.
+pulsed rates and the transfer after any number of periods, unless it is
+flagged defective, when the engine composes the transfer from the pulses and
+free segments.  Given an array of pulse spacings, ``bang_bang_operator`` builds
+every period from the one generator decomposition and decomposes them as
+stacks, one eigensolve per stack; a single spacing is the one-member case.
+Times and spacings must be finite.
 """
 
 from __future__ import annotations
@@ -196,14 +197,14 @@ def bang_bang_operator(
     ``sd.operator.boundary`` that every ``tau`` shares, the pulsed decay rates
     follow from the eigenvalues ``mu`` and the weights ``|modes * coeffs.T|``,
     and the transfer matrix is ``(modes * mu**n_pulses) @ coeffs``, formed from the
-    real pair form of the period's decomposition.  A period
-    flagged defective degrades instead of raising: its transfer is
-    ``readout @ U**n_pulses @ prepare`` by matrix power, and its rates, still
-    from the weights, carry the ``near-defective`` flag.  The period is real by
-    construction, ``(V_r B(tau)) @ V_r^-1`` from the generator's pair form, so the
-    real eigensolver runs, and the transfer is real too.  The roundoff the pair
-    form drops is bounded by the defective gate of both decompositions,
-    ``condition * eps <= IMAG_TOL``.
+    real pair form of the period's decomposition.  A period flagged defective
+    degrades instead of raising: the engine of ``sequence_operator`` composes its
+    transfer, ``n_pulses`` times a pulse then free ``tau``, on the generator's
+    decomposition, and its rates, still from the weights, carry the ``near-defective``
+    flag.  The period is real by construction, ``(V_r B(tau)) @ V_r^-1`` from the
+    generator's pair form, so the real eigensolver runs, and the transfer is real
+    too.  The roundoff the pair form drops is bounded by the defective gate of both
+    decompositions, ``condition * eps <= IMAG_TOL``.
 
     ``tau`` may also be a 1-d array of spacings, which returns a tuple with
     one result per spacing.  Their periods all come from the one generator
@@ -247,27 +248,19 @@ def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
         candidate_rates = -np.log(np.abs(mu)) / taus[:, None]
     candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
     readout, prepare = sd.operator.boundary
-    near = _rate_resolution(spectra.condition, spectra.defective, 1.0 / taus)
-    rates = _select_rates(candidate_rates, _mode_weights(sd.operator.boundary, spectra), near, name)
+    defective = spectra.defective
+    near = _rate_resolution(spectra.condition, defective, 1.0 / taus)
+    rates = _select_rates(candidate_rates, _mode_weights((readout, prepare), spectra), near, name)
     # U**n = V_r B L_r with B the block form of mu**n, so the transfer is real by construction.
     modes = _pair_scaled(readout @ spectra.v_r, spectra.partner, mu**n_pulses)
     transfer = modes @ (spectra.l_r @ prepare)
-    defective = spectra.defective
-    if defective.any():
-        powered = np.linalg.matrix_power(periods[defective], n_pulses)
-        transfer[defective] = readout @ powered @ prepare
-    return [
-        BangBangResult(
-            transfer=transfer[b],
-            eigenvalues=mu[b],
-            candidate_rates=candidate_rates[b],
-            rates=rates.member(b, defective[b]),
-            tau=float(tau),
-            n_pulses=n_pulses,
-            axis=axis,
-        )
-        for b, tau in enumerate(taus)
-    ]
+    if defective.any():  # their schedules, pulse then free tau, composed as one grid
+        steps = [("pulse", _PI_PULSES[axis]), ("free", taus[defective])] * n_pulses
+        transfer[defective] = _compose(sd, steps, prepare)
+    return [BangBangResult(transfer=transfer[b], eigenvalues=mu[b],
+                           candidate_rates=candidate_rates[b], rates=rates.member(b, defective[b]),
+                           tau=float(tau), n_pulses=n_pulses, axis=axis)
+            for b, tau in enumerate(taus)]
 
 
 def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None) -> np.ndarray:

@@ -19,8 +19,8 @@ weak coupling and strongly violate at strong coupling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,12 +133,65 @@ def channel_rates_from_modes(mode_rates: np.ndarray, weights: np.ndarray) -> Cha
     return _select_rates(mode_rates[None], weights[None]).member(0)
 
 
-class _RateStack(NamedTuple):
-    """Selected rates of a stack: ``rates[b]`` and ``ambiguous[b]`` per channel x, y, z, xy."""
+@dataclass(frozen=True)
+class _RateStack:
+    """A stack's selection: ``rates[b]`` per channel x, y, z, xy, and the inputs of its flags.
+
+    ``eligible_rates`` (inf where a mode is not eligible), ``weights`` and ``eligible`` are
+    ``(B, 4, d)``, the xy channel last.  The grouping behind the ambiguity flags runs once
+    for the stack, when ``ambiguous`` is first read.
+    """
 
     rates: np.ndarray
-    ambiguous: np.ndarray
+    eligible_rates: np.ndarray
     weights: np.ndarray
+    eligible: np.ndarray
+    near: np.ndarray
+
+    # Two infinite rates differ by NaN: they are not near, and their spread is not above near.
+    @functools.cached_property
+    @np.errstate(invalid="ignore")
+    def ambiguous(self) -> np.ndarray:
+        """``(B, 4)``: whether each channel's two heaviest rate groups are comparable."""
+        # One row per member and channel x, y, z, xy.
+        near = np.repeat(self.near, 4)[:, None]
+        n_rows, n_modes = self.rates.size, self.eligible.shape[2]
+        w, eligible = self.weights.reshape(n_rows, n_modes), self.eligible.reshape(n_rows, n_modes)
+        r = self.eligible_rates.reshape(n_rows, n_modes)
+        # Each row in (rate, weight) order; ``take`` reads flat indices.  A mode not eligible
+        # sorts among the infinite rates, each of which opens a group of its own.
+        row = np.arange(n_rows)[:, None]
+        order = np.lexsort((w, r), axis=1) + n_modes * row
+        r, w, eligible = r.take(order), w.take(order), eligible.take(order)
+
+        # A mode far from its predecessor opens a group.  A mode near it joins the open
+        # group unless it is far from the group's first rate, which only a mode after
+        # another joined one can be; such modes are found left to right, one per row and
+        # pass, as each one moves the first rate after it.
+        starts = eligible.copy()
+        starts[:, 1:] &= ~(np.abs(r[:, 1:] - r[:, :-1]) < near)
+        joined = eligible & ~starts
+        while (joined[:, 1:] & joined[:, :-1]).any():
+            first = np.maximum.accumulate(np.where(starts, np.arange(n_modes), 0), axis=1)
+            late = joined & ~(np.abs(r - r.take(first + n_modes * row)) < near)
+            if not late.any():
+                break
+            rows = np.nonzero(late.any(axis=1))[0]
+            starts[rows, late[rows].argmax(axis=1)] = True
+            joined = eligible & ~starts
+
+        # Flat slot of each eligible mode's group, with one spare slot per row, so that even
+        # a one-mode row has two group weights.
+        slot = starts.cumsum(axis=1) - 1 + (n_modes + 1) * row
+        group_weight = np.bincount(slot[eligible], weights=w[eligible],
+                                   minlength=n_rows * (n_modes + 1))
+        # Group weights are positive, so a second-heaviest weight above 0 means two groups.
+        second, heaviest = np.sort(group_weight.reshape(n_rows, n_modes + 1), axis=1)[:, -2:].T
+        heavy = starts & (group_weight.take(slot) >= second[:, None])  # at each group's first rate
+        heavy_rates = np.where(heavy, r, np.nan)
+        spread = np.fmax.reduce(heavy_rates, axis=1) - np.fmin.reduce(heavy_rates, axis=1)
+        ambiguous = (second > 0.5 * heaviest) & (spread > near[:, 0])
+        return ambiguous.reshape(self.rates.shape)
 
     def member(self, b: int, defective: bool = False) -> ChannelRates:
         """Member b's rates; ``defective`` says its decomposition is flagged defective."""
@@ -150,14 +203,9 @@ class _RateStack(NamedTuple):
         if defective:
             flags.append("near-defective")
         return ChannelRates(
-            rate_z=rate_z,
-            rate_xy=rate_xy,
-            rate_x=rate_x,
-            rate_y=rate_y,
+            rate_z=rate_z, rate_xy=rate_xy, rate_x=rate_x, rate_y=rate_y,
             mode_weights={name: self.weights[b, c].copy() for c, name in enumerate(_CHANNELS)},
-            method="spectral-weight",
-            flags=tuple(flags),
-        )
+            method="spectral-weight", flags=tuple(flags))
 
 
 # inf * 0 is NaN, for a singular member with an all-zero spectrum, whose selection raises.
@@ -175,14 +223,16 @@ def _rate_resolution(condition, defective, scale) -> np.ndarray:
     return np.where(defective, np.fmax(bound, 1e-9), 1e-9)
 
 
-def _eligible_modes(mode_rates: np.ndarray, weights: np.ndarray, name=None):
-    """Channel weights and eligible modes of a stack, each ``(B, 4, d)`` for x, y, z, xy.
+def _select_rates(mode_rates: np.ndarray, weights: np.ndarray, near=None,
+                  name=None) -> _RateStack:
+    """The selection of ``channel_rates_from_modes`` for a stack of B members.
 
-    ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``; the xy weights are the
-    azimuthal average ``(w_x + w_y) / 2``.  A mode is eligible in a channel when its
-    weight exceeds ``WEIGHT_REL_THRESHOLD`` times the channel's largest and its rate
-    exceeds ``ZERO_MODE_THRESHOLD``.  A member whose weights are NaN has no left vectors
-    (its eigenvector matrix could not be inverted) and raises
+    ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``.  Each channel's rate is
+    its smallest eligible one.  For the flags, each channel's eligible modes are sorted
+    by ``(rate, weight)`` and grouped left to right: a rate joins the open group when it
+    lies within ``near[b]`` (by default 1e-9, see ``_rate_resolution``) of that group's
+    first rate, and the group weights are summed left to right.  A member whose weights
+    are NaN has no left vectors (its eigenvector matrix could not be inverted) and raises
     ``EigendecompositionError``, named by ``name(b)`` ("member b of B" by default).
     """
     missing = np.isnan(weights).any(axis=(1, 2))
@@ -195,73 +245,10 @@ def _eligible_modes(mode_rates: np.ndarray, weights: np.ndarray, name=None):
     w = np.concatenate([weights, 0.5 * (weights[:, :1] + weights[:, 1:2])], axis=1)
     eligible = ((w > WEIGHT_REL_THRESHOLD * w.max(axis=2, keepdims=True))
                 & (mode_rates[:, None, :] > ZERO_MODE_THRESHOLD))
-    return w, eligible
-
-
-def _smallest_rates(mode_rates: np.ndarray, weights: np.ndarray, name=None) -> np.ndarray:
-    """The ``rates`` of ``_select_rates`` alone, shape ``(B, 4)``.
-
-    Each is its channel's smallest eligible rate, or 0 where no mode is eligible;
-    the grouping that decides the ambiguity flags is skipped.
-    """
-    _, eligible = _eligible_modes(mode_rates, weights, name)
-    smallest = np.where(eligible, mode_rates[:, None, :], np.inf).min(axis=2)
-    return np.where(eligible.any(axis=2), smallest, 0.0)
-
-
-# Two infinite rates differ by NaN: they are not near, and their spread is not above near.
-@np.errstate(invalid="ignore")
-def _select_rates(mode_rates: np.ndarray, weights: np.ndarray, near=None,
-                  name=None) -> _RateStack:
-    """The selection of ``channel_rates_from_modes`` for a stack of B members.
-
-    ``mode_rates`` is ``(B, d)`` and ``weights`` ``(B, 3, d)``.  Each channel's
-    eligible modes are sorted by ``(rate, weight)`` and grouped left to right: a
-    rate joins the open group when it lies within ``near[b]`` (by default 1e-9,
-    see ``_rate_resolution``) of that group's first rate.  The group weights are
-    summed left to right.  Eligibility, and the raise for a member without left
-    vectors, are those of ``_eligible_modes``.
-    """
-    w, eligible = _eligible_modes(mode_rates, weights, name)
-    # One row per member and channel x, y, z, xy.
-    near = np.repeat(np.full(len(weights), 1e-9) if near is None else near, 4)[:, None]
-    n_rows, n_modes = 4 * len(w), w.shape[2]
-    w, eligible = w.reshape(n_rows, n_modes), eligible.reshape(n_rows, n_modes)
-    r = np.repeat(mode_rates, 4, axis=0)
-    # Eligible modes first, each row in (rate, weight) order; ``take`` reads flat indices.
-    row = np.arange(n_rows)[:, None]
-    order = np.lexsort((w, r, ~eligible), axis=1) + n_modes * row
-    r, w, eligible = r.take(order), w.take(order), eligible.take(order)
-
-    # A mode far from its predecessor opens a group.  A mode near it joins the open
-    # group unless it is far from the group's first rate, which only a mode after
-    # another joined one can be; such modes are found left to right, one per row and
-    # pass, as each one moves the first rate after it.
-    starts = eligible.copy()
-    starts[:, 1:] &= ~(np.abs(r[:, 1:] - r[:, :-1]) < near)
-    joined = eligible & ~starts
-    while (joined[:, 1:] & joined[:, :-1]).any():
-        first = np.maximum.accumulate(np.where(starts, np.arange(n_modes), 0), axis=1)
-        late = joined & ~(np.abs(r - r.take(first + n_modes * row)) < near)
-        if not late.any():
-            break
-        rows = np.nonzero(late.any(axis=1))[0]
-        starts[rows, late[rows].argmax(axis=1)] = True
-        joined = eligible & ~starts
-
-    # Flat slot of each eligible mode's group, with one spare slot per row, so that even
-    # a one-mode row has two group weights.
-    slot = starts.cumsum(axis=1) - 1 + (n_modes + 1) * row
-    group_weight = np.bincount(slot[eligible], weights=w[eligible], minlength=n_rows * (n_modes + 1))
-    # Group weights are positive, so a second-heaviest weight above 0 means two groups.
-    second, heaviest = np.sort(group_weight.reshape(n_rows, n_modes + 1), axis=1)[:, -2:].T
-    heavy = starts & (group_weight.take(slot) >= second[:, None])  # at each group's first rate
-    heavy_rates = np.where(heavy, r, np.nan)
-    spread = np.fmax.reduce(heavy_rates, axis=1) - np.fmin.reduce(heavy_rates, axis=1)
-    ambiguous = (second > 0.5 * heaviest) & (spread > near[:, 0])
-    rates = np.where(eligible[:, 0], r[:, 0], 0.0)
-    shape = weights.shape[0], 4
-    return _RateStack(rates.reshape(shape), ambiguous.reshape(shape), weights)
+    eligible_rates = np.where(eligible, mode_rates[:, None, :], np.inf)
+    rates = np.where(eligible.any(axis=2), eligible_rates.min(axis=2), 0.0)  # none: no decay
+    near = np.full(len(w), 1e-9) if near is None else near
+    return _RateStack(rates, eligible_rates, w, eligible, near)
 
 
 def extract_rates(sd: SpectralDecomposition) -> ChannelRates:
@@ -428,8 +415,8 @@ def angle_sweep(
         name = _sweep_member(block, len(theta_grid))
         spectra = _decompose_stack(_generator_stack(sys, couplings[block, None, :]), name)
         weights = _mode_weights(boundary, spectra)
-        # Only the rates are kept: the grouping decides only the ambiguity flags.
-        selected = _smallest_rates(spectra.eigenvalues.real, weights, name)
+        # Only the rates are read, so the grouping behind the ambiguity flags never runs.
+        selected = _select_rates(spectra.eigenvalues.real, weights, name=name).rates
         rz[block], rxy[block] = selected[:, 2], selected[:, 3]
     if eta == 0.0:
         rstar = _perturbative(b0, g, gamma, theta_grid)[2]

@@ -70,9 +70,9 @@ IMAG_TOL = 1e-10
 # Eigenvector-matrix condition bound (Frobenius) beyond which the decomposition
 # is treated as (near-)defective.  Roundoff in the spectral form grows like
 # condition * eps, so past IMAG_TOL / eps (about 4.5e5) it could exceed IMAG_TOL:
-# exp(-t P) is then formed by scaling-and-squaring and a bang-bang period by its
-# matrix power.  Below it, the pair form's real results drop no more than the
-# imaginary roundoff the complex form would carry, condition * eps <= IMAG_TOL.
+# exp(-t P) is then formed by scaling-and-squaring, and a flagged bang-bang period's
+# transfer by its pulse schedule.  Below it, the pair form's real results drop no
+# more than the imaginary roundoff the complex form would carry, condition * eps <= IMAG_TOL.
 # Rates still come from the spectral weights.
 DEFECTIVE_CONDITION = IMAG_TOL / np.finfo(float).eps
 

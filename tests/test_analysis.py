@@ -89,7 +89,7 @@ class TestExponentialFit:
 
 
 # A NaN used to pass silently: detect_steps returned has_steps=False with period NaN,
-# and fit_exponential_decay fitted the other points.
+# fit_exponential_decay fitted the other points and detect_plateaus found none.
 NON_FINITE = [
     pytest.param("signal", np.linspace(0, 1, 5), [1.0, np.nan, 1.0, 1.0, 1.0], id="nan-signal"),
     pytest.param("signal", np.linspace(0, 1, 5), [1.0, 0.9, np.inf, 0.7, 0.6], id="inf-signal"),
@@ -98,10 +98,19 @@ NON_FINITE = [
 
 
 @pytest.mark.parametrize("name, times, signal", NON_FINITE)
-@pytest.mark.parametrize("analyse", [detect_steps, fit_exponential_decay])
+@pytest.mark.parametrize("analyse", [detect_plateaus, detect_steps, fit_exponential_decay])
 def test_non_finite_input_named(analyse, name, times, signal):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         analyse(times, signal)
+
+
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_plateaus_of_a_decay_with_one_nan_rejected(log_scale):
+    times = np.linspace(0.0, 40.0, 401)
+    signal = np.exp(-0.1 * times)
+    signal[200] = np.nan
+    with pytest.raises(ValueError, match="^signal must be finite"):
+        detect_plateaus(times, signal, log_scale=log_scale)
 
 
 class TestLocalMaxima:

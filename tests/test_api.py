@@ -54,6 +54,11 @@ def test_public_names():
 
 
 SIGNATURES = {
+    dynamics.bang_bang_operator: ("sys", "tau", "n_pulses", "axis", "sd"),
+    dynamics.echo_signal: ("sys", "t_grid", "sd"),
+    dynamics.sequence_operator: ("sys", "seq", "t_final", "sd"),
+    superop.transfer_from_spectral: ("sd", "times"),
+    rates.angle_sweep: ("b0", "g", "gamma", "eta", "theta_grid"),
     rates.channel_rates_from_modes: ("mode_rates", "weights"),
     rates.extract_rates: ("sd",),
     rates.free_decay_rates: ("sys",),

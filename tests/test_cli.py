@@ -121,6 +121,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"\n  {field}: "):
             ExperimentConfig.from_dict(raw)
 
+    # Fields that these sweeps do not read used to pass and leave the CSV unchanged.
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            pytest.param(presets()["fig3a"] | {"white_noise": [0.05, 0.05, 0.05]}, "white_noise",
+                         id="rates-sweep-white_noise"),
+            pytest.param(presets()["fig3a"] | {"g_vector": [0.0, 0.0, 0.1]}, "g_vector",
+                         id="rates-sweep-g_vector"),
+            pytest.param(presets()["fig3a"] | {"eta": 0.1}, "eta", id="rates-sweep-eta"),
+            pytest.param(presets()["fig5"] | {"g_vector": [0.0, 0.0, 0.8]}, "g_vector",
+                         id="echo-g_vector"),
+        ],
+    )
+    def test_fields_a_sweep_ignores_rejected(self, raw, field):
+        with pytest.raises(ConfigError, match=rf"\n  {field}: not read by"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_rates_sweep_takes_zero_white_noise(self):
+        ExperimentConfig.from_dict(presets()["fig3a"] | {"white_noise": [0.0, 0.0, 0.0]})
+
     # Values of the wrong type used to fail without their field's name, or mid-run.
     @pytest.mark.parametrize(
         "override, line",

@@ -106,8 +106,9 @@ def assert_same_bang_bang(a, b):
 
 
 def assert_degraded(sys, sd, result, spectral):
-    """A period flagged defective: its transfer is powered directly, against expm, and its
-    rates are ``spectral``'s, read from the same weights, with the near-defective flag."""
+    """A period flagged defective: its schedule's transfer, against the powered period and
+    expm, and its rates are ``spectral``'s, read from the same weights, with the
+    near-defective flag."""
     axis = {"x": X_AXIS, "y": Y_AXIS}[result.axis]
     lift = np.kron(np.eye(2**sys.n_fluctuators), rotation_matrix(axis, np.pi))
     period = scipy.linalg.expm(-result.tau * sd.operator.mat) @ lift
@@ -160,7 +161,7 @@ class TestBangBang:
         assert np.linalg.norm(vecs @ result.transfer.T, axis=1).max() <= 1.0 + 1e-9
 
     def test_defective_period_degrades_through_shared_gate(self, monkeypatch, strong_mixed_system):
-        # A period flagged defective is powered directly; its rates are the same weights' rates.
+        # A period flagged defective is composed as a schedule; its rates are the same weights'.
         sys, tau, n = strong_mixed_system, 1.3, 7
         sd = spectral_decomposition(decoherence_generator(sys))
         spectral = bang_bang_operator(sys, tau, n, sd=sd)
@@ -254,6 +255,30 @@ class TestBangBang:
         assert_same_bang_bang(sweep[0], spectral[0])
         assert_same_bang_bang(sweep[2], spectral[2])
         assert_degraded(sys, sd, sweep[1], spectral[1])
+
+    def test_defective_period_at_an_exceptional_point(self, monkeypatch):
+        # Aligned g = gamma is an exceptional point: the generator is flagged, so a flagged
+        # period's schedule is composed by expm.  In stacks of two, the grids hold 2 and 1.
+        sys = make_system(g=0.1, theta=0.0, gamma=0.1)
+        sd = spectral_decomposition(decoherence_generator(sys))
+        assert sd.defective
+        taus = np.array([0.4, 1.3, 2.9])
+        spectral = bang_bang_operator(sys, taus, 5, "y", sd)
+        assert not any("near-defective" in r.rates.flags for r in spectral)
+        monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", 5.0)  # each period's is 6
+        monkeypatch.setattr(dynamics, "_member_blocks",
+                            lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        compose_expm, grids = superop._compose_expm, []
+
+        def recording(sd, steps, prepare):
+            grids.append(np.size(steps[1][1]))
+            return compose_expm(sd, steps, prepare)
+
+        monkeypatch.setattr(superop, "_compose_expm", recording)
+        sweep = bang_bang_operator(sys, taus, 5, "y", sd)
+        assert grids == [2, 1]
+        for result, want in zip(sweep, spectral, strict=True):
+            assert_degraded(sys, sd, result, want)
 
     def test_errors_name_the_sweep_index_and_tau(self, monkeypatch):
         # In stacks of two, sweep index 2 is member 0 of the second stack.

@@ -240,16 +240,31 @@ class TestStackedSelection:
     def test_rates_alone_equal_the_selection(self, rng, d):
         mode_rates, weights = selection_cases(rng, d=d)
         mode_rates[0] = 0.0  # only conserved modes: no channel has an eligible one
-        want = _select_rates(mode_rates, weights).rates
-        assert np.all(want[0] == 0.0)
-        assert np.array_equal(rates._smallest_rates(mode_rates, weights), want)
+        stack = _select_rates(mode_rates, weights)
+        alone = stack.rates.tolist()
+        assert "ambiguous" not in vars(stack)  # the rates alone run no grouping
+        assert alone[0] == [0.0] * 4
+        for b in range(len(mode_rates)):
+            got = stack.member(b)
+            assert alone[b] == [got.rate_x, got.rate_y, got.rate_z, got.rate_xy]
+        assert "ambiguous" in vars(stack)
+
+    def test_angle_sweep_runs_no_grouping(self, monkeypatch):
+        def grouping(stack):
+            raise AssertionError("the sweep grouped rates it does not flag")
+
+        monkeypatch.setattr(rates._RateStack, "ambiguous", property(grouping))
+        sweep = angle_sweep(1.0, 0.3, 0.1, 0.0, np.linspace(0.0, np.pi / 2, 61))
+        assert sweep.rate_xy.shape == (61,)
 
     def test_member_without_left_vectors_is_named(self, rng):
         mode_rates, weights = selection_cases(rng, n_cases=3)
         weights[1, :, 0] = np.nan  # what a failed inversion leaves
-        for select in (_select_rates, rates._smallest_rates):
-            with pytest.raises(EigendecompositionError, match="member 1 of 3"):
-                select(mode_rates, weights)
+        # The selection raises at the call, before any rate or flag is read.
+        with pytest.raises(EigendecompositionError, match="member 1 of 3"):
+            _select_rates(mode_rates, weights)
+        with pytest.raises(EigendecompositionError, match=r"\(tau 2\.5\)"):
+            _select_rates(mode_rates, weights, name=lambda b: "tau 2.5")
 
     def test_resolution_widens_only_defective_members(self):
         eps = np.finfo(float).eps
