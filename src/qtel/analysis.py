@@ -100,6 +100,23 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
+def _curve(times, signal) -> tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``signal`` as float arrays, checked as ``detect_plateaus`` describes."""
+    times = np.asarray(times, dtype=float)
+    signal = np.asarray(signal, dtype=float)
+    for name, values in (("times", times), ("signal", signal)):
+        if values.ndim != 1:
+            raise ValueError(f"{name} must be 1-d, got shape {values.shape}")
+    if len(signal) != len(times):
+        raise ValueError(f"signal must hold one value per time, got {len(signal)} for {len(times)}")
+    if len(times) < 2:
+        raise ValueError(f"times must hold at least 2 samples, got {len(times)}")
+    _require_finite(times=times, signal=signal)
+    if not (times[1:] > times[:-1]).all():
+        raise ValueError("times must be strictly increasing")
+    return times, signal
+
+
 def _within_roundoff(signal: np.ndarray) -> bool:
     """True when the curve has no structure beyond roundoff."""
     return signal.max() - signal.min() < 1e-12 * max(1.0, np.abs(signal).max())
@@ -113,12 +130,11 @@ def detect_plateaus(times, signal, log_scale: bool = False) -> tuple[Plateau, ..
     |slope|.  The run containing t = 0 is never a plateau: every echo
     curve starts flat.  With ``log_scale`` the slope is measured on
     log|signal|, which treats fractional rather than absolute changes as
-    significant.  A NaN or infinite time or signal value raises
-    ``ValueError``.
+    significant.  ``times`` and ``signal`` must be 1-d, of equal length, at
+    least 2 samples long and finite, and the times strictly increasing;
+    otherwise ``ValueError`` names the one at fault.
     """
-    times = np.asarray(times, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    _require_finite(times=times, signal=signal)
+    times, signal = _curve(times, signal)
     if _within_roundoff(signal):
         return ()
     if log_scale:
@@ -152,11 +168,9 @@ def detect_steps(times, signal) -> StepStructure:
 
     The step period is the mean spacing of drop centers, counting drops
     after the first plateau begins (the initial transient is not a
-    step).  A NaN or infinite time or signal value raises ``ValueError``.
+    step).  The input is checked as in ``detect_plateaus``.
     """
-    times = np.asarray(times, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    _require_finite(times=times, signal=signal)
+    times, signal = _curve(times, signal)
     logs = np.log(np.clip(np.abs(signal), 1e-12, None))
     slope = np.gradient(logs, times)
     peak_drop = max(-slope.min(), 0.0)
@@ -192,12 +206,9 @@ def fit_exponential_decay(times, signal, t_skip: float = 0.0) -> ExponentialFit:
     ``t_skip`` (dropping the initial transient) and ending where the
     signal falls below ``FIT_FLOOR``.  When the window contains enough
     local maxima, only the peak envelope is fitted, which removes
-    oscillation bias.  A NaN or infinite time or signal value raises
-    ``ValueError``.
+    oscillation bias.  The input is checked as in ``detect_plateaus``.
     """
-    times = np.asarray(times, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    _require_finite(times=times, signal=signal)
+    times, signal = _curve(times, signal)
     signal = np.abs(signal)
     mask = (times >= t_skip) & (signal > FIT_FLOOR)
     tt, ss = times[mask], signal[mask]

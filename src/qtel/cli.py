@@ -8,17 +8,17 @@ the same seed reproduces the CSV byte for byte.
 
 Experiments: free-decay, rates-sweep, bang-bang, echo, mc-verify,
 enum-verify.  Each is one ``EXPERIMENTS`` entry: a runner that returns
-the table's rows, and the table's columns and units; ``run`` builds the
-``ResultTable``.  Presets (fig2 ... fig6) reproduce the library's
-reference figures at desk scale.
+the table's rows, the table's columns and units, and the config fields
+the runner reads; ``run`` builds the ``ResultTable``.  Presets (fig2 ...
+fig6) reproduce the library's reference figures at desk scale.
 
 A config is checked in full before any work starts.  Each raw value must
-first have the type its field is annotated with.  This module keeps
-only the rules of its own fields (required fields, grids, seed, workers);
-every physical value is checked by building what the run builds, so the
-range checks live once, in the library's spec dataclasses and
-``model._switch_matrix``, and their messages are reported as
-they are.
+first have the type its field is annotated with.  A field the experiment
+does not read must keep its default (``experiment``, ``seed`` and an
+all-zero ``white_noise`` excepted).  The module checks only its own
+fields' rules; each physical value is checked by building what the run
+builds, so the range checks live once, in the library's spec dataclasses
+and ``model._switch_matrix``, and their messages are reported as they are.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ class ExperimentConfig:
 
     Geometry is given either as an explicit coupling vector ``g_vector``
     or as a magnitude ``g`` with working-point angle(s) ``theta``
-    (radians between the coupling and the static-field axis).
+    (radians between the coupling and the static-field axis).  Each
+    experiment reads only the fields its ``EXPERIMENTS`` entry names;
+    ``from_dict`` refuses any other field set away from its default.
     """
 
     experiment: str
@@ -106,8 +108,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         errors = []
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - names)
+        names = _type_hints(cls)  # one per field, resolved once
+        unknown = sorted(k for k in raw if k not in names)
         if unknown:
             errors.append(f"unknown config fields: {', '.join(unknown)}")
         known = {k: v for k, v in raw.items() if k in names}
@@ -128,56 +130,44 @@ class ExperimentConfig:
     def _validate(self) -> list[str]:
         if self.experiment not in EXPERIMENTS:
             return [f"experiment: must be one of {', '.join(EXPERIMENTS)}"]
-        errors = []
+        reads = EXPERIMENTS[self.experiment][3]
+        # One rule for the fields the run does not read: each keeps its default.  White noise
+        # of variance 0 is none at all.
+        errors = [f"{name}: not read by {self.experiment}"
+                  for name, default in _UNREAD[self.experiment] if getattr(self, name) != default
+                  and not (name == "white_noise" and not any(self.white_noise))]
         if not 0 <= self.seed < 2**64:
             errors.append("seed: must fit in an unsigned 64-bit integer")
-        if self.workers < 1:
+        if "workers" in reads and self.workers < 1:
             errors.append("workers: must be >= 1")
-
-        if self.experiment in ("free-decay", "bang-bang", "mc-verify") and self.g_vector is None:
-            if self.g is None:
-                errors.append("g or g_vector: required")
-            elif self.theta is None:
-                errors.append("theta: required when g is given as a magnitude")
-        if self.experiment in ("rates-sweep", "echo"):
-            if self.g is None:
-                errors.append("g: required (magnitude)")
-            if self.g_vector is not None:  # the sweeps set each angle's coupling from g
-                errors.append(f"g_vector: not read by {self.experiment}; give g and the angles")
-        if self.experiment == "rates-sweep":
-            if self.theta_points < 2 and not self.theta_values:
-                errors.append("theta_points or theta_values: required")
-            if not self.eta_values:
-                errors.append("eta_values: required (use [0.0] for symmetric switching)")
-            if self.eta != 0.0:
-                errors.append("eta: not read by rates-sweep; give eta_values")
-            if any(v > 0 for v in self.white_noise or ()):
-                errors.append("white_noise: not read by rates-sweep; every variance must be 0")
-        if self.experiment == "echo" and not self.theta_values:
-            errors.append("theta_values: required")
-        if self.experiment in ("free-decay", "echo") and (self.t_max <= 0 or self.t_points < 2):
+        coupled = "g_vector" in reads and self.g_vector is not None
+        if "g" in reads and self.g is None and not coupled:
+            errors.append(f"{'g or g_vector' if 'g_vector' in reads else 'g'}: required")
+        elif "theta" in reads and self.theta is None and not coupled:
+            errors.append("theta: required when g is given as a magnitude")
+        if "theta_values" in reads and self.theta_points < 2 and not self.theta_values:
+            either = "theta_points or " if "theta_points" in reads else ""
+            errors.append(f"{either}theta_values: required")
+        if "eta_values" in reads and not self.eta_values:
+            errors.append("eta_values: required (use [0.0] for symmetric switching)")
+        if "t_max" in reads and (self.t_max <= 0 or self.t_points < 2):
             errors.append("t_max and t_points: required (t_max > 0, t_points >= 2)")
-        if self.experiment == "free-decay" and self.frame not in ("lab", "rotating"):
-            errors.append("frame: must be 'lab' or 'rotating'")
-        if self.experiment in ("free-decay", "mc-verify"):
+        for name, choices in _CHOICES.items():
+            if name in reads and getattr(self, name) not in choices:
+                errors.append(f"{name}: must be {' or '.join(map(repr, choices))}")
+        if "initial" in reads:
             _check(errors, "initial", as_bloch_array, self.initial)
-        if self.experiment == "bang-bang":
-            if self.tau_points < 2 or self.tau_min <= 0 or self.tau_max <= self.tau_min:
-                errors.append("tau_min/tau_max/tau_points: required increasing grid, tau_min > 0")
-            if self.tau_spacing not in ("linear", "log"):
-                errors.append("tau_spacing: must be 'linear' or 'log'")
-            if self.pulse_axis not in ("x", "y"):
-                errors.append("pulse_axis: must be 'x' or 'y'")
-        if self.experiment == "mc-verify":
+        if "tau_points" in reads and (
+                self.tau_points < 2 or self.tau_min <= 0 or self.tau_max <= self.tau_min):
+            errors.append("tau_min/tau_max/tau_points: required increasing grid, tau_min > 0")
+        if "probe_times" in reads:
             if not self.probe_times:
                 errors.append("probe_times: required")
-            elif any(t <= 0 for t in self.probe_times) or any(
-                b <= a for a, b in zip(self.probe_times, self.probe_times[1:])
-            ):
+            elif any(b <= a for a, b in zip([0.0, *self.probe_times], self.probe_times)):
                 errors.append("probe_times: must be positive and strictly increasing")
-            if self.n_samples < 2:
-                errors.append("n_samples: must be >= 2")
-        if self.experiment == "enum-verify":
+        if "n_samples" in reads and self.n_samples < 2:
+            errors.append("n_samples: must be >= 2")
+        if "n_steps" in reads:
             if not 1 <= self.n_steps <= MAX_ENUM_STEPS:
                 errors.append(f"n_steps: must be in [1, {MAX_ENUM_STEPS}]")
             for gamma, eta, _, _ in ENUM_VERIFY_GRID:
@@ -193,7 +183,7 @@ class ExperimentConfig:
             return errors
         for eta in self.eta_values:  # only eta differs from the system just built
             _check(errors, "eta_values", self.system, gvec, eta)
-        if self.experiment == "mc-verify":
+        if "n_samples" in reads:  # the sampler takes one fluctuator and no white noise
             _check(errors, "white_noise", _single_fluctuator, sys)
         return errors
 
@@ -438,21 +428,36 @@ def _run_enum_verify(cfg: ExperimentConfig) -> np.ndarray:
     return np.array([[len(ENUM_VERIFY_GRID), cfg.n_steps, cfg.dt, worst, worst_prob]])
 
 
-# Each experiment is declared here once: the runner that returns its rows, and the
-# table's columns and units.  Config checks and the CLI read the names in this order.
+# Each experiment is declared here once: the runner that returns its rows, the table's
+# columns and units, and the config fields the runner reads (_SYSTEM: those that
+# ExperimentConfig.system reads).  Config checks and the CLI read the names in this order.
+_SYSTEM = ("b0", "gamma", "eta", "g", "g_vector", "theta", "white_noise")
 EXPERIMENTS = {
-    "free-decay": (_run_free_decay, ("t", "n_x", "n_y", "n_z"), ("1/B0", "1", "1", "1")),
+    "free-decay": (_run_free_decay, ("t", "n_x", "n_y", "n_z"), ("1/B0", "1", "1", "1"),
+                   {*_SYSTEM, "initial", "frame", "t_max", "t_points"}),
     "rates-sweep": (_run_rates_sweep, ("theta", "eta", "inv_t1", "inv_t2", "inv_t2_star"),
-                    ("rad", "B0", "B0", "B0", "B0")),
+                    ("rad", "B0", "B0", "B0", "B0"),
+                    {"b0", "gamma", "g", "theta_values", "theta_points", "eta_values"}),
     "bang-bang": (_run_bang_bang, ("tau", "rate_z", "rate_xy", "norm_rate_z", "norm_rate_xy"),
-                  ("1/B0", "B0", "B0", "1", "1")),
-    "echo": (_run_echo, ("theta", "t", "signal"), ("rad", "1/B0", "1")),
+                  ("1/B0", "B0", "B0", "1", "1"),
+                  {*_SYSTEM, "tau_min", "tau_max", "tau_points", "tau_spacing", "pulse_axis"}),
+    "echo": (_run_echo, ("theta", "t", "signal"), ("rad", "1/B0", "1"),
+             {"b0", "gamma", "eta", "g", "white_noise", "theta_values", "t_max", "t_points"}),
     "mc-verify": (_run_mc_verify, ("t", "component", "mc_mean", "mc_stderr", "exact", "nsigma"),
-                  ("1/B0", "0=x 1=y 2=z", "1", "1", "1", "1")),
+                  ("1/B0", "0=x 1=y 2=z", "1", "1", "1", "1"),
+                  {*_SYSTEM, "initial", "probe_times", "n_samples", "workers"}),
     "enum-verify": (_run_enum_verify,
                     ("n_param_sets", "n_steps", "dt", "max_abs_error", "max_prob_error"),
-                    ("1", "1", "1/B0", "1", "1")),
+                    ("1", "1", "1/B0", "1", "1"), {"b0", "dt", "n_steps"}),
 }
+# The fields each experiment does not read, with their defaults, built once.  experiment
+# and seed are never among them: every sidecar records both, and every target takes --seed.
+_UNREAD = {experiment: [(name, default) for name, default in vars(ExperimentConfig("")).items()
+                        if name not in {*reads, "experiment", "seed"}]
+           for experiment, (*_, reads) in EXPERIMENTS.items()}
+# The values each string field takes.
+_CHOICES = {"frame": ("lab", "rotating"), "tau_spacing": ("linear", "log"),
+            "pulse_axis": ("x", "y")}
 
 
 def run(cfg: ExperimentConfig, out_dir, name: str | None = None) -> Path:
@@ -462,7 +467,7 @@ def run(cfg: ExperimentConfig, out_dir, name: str | None = None) -> Path:
     byte-identical across re-runs of the same config and seed.
     """
     start = time.perf_counter()
-    runner, columns, units = EXPERIMENTS[cfg.experiment]
+    runner, columns, units, _ = EXPERIMENTS[cfg.experiment]
     table = ResultTable(cfg.experiment, columns, units, runner(cfg), cfg)
     wall = time.perf_counter() - start
     out_dir = Path(out_dir)
@@ -539,7 +544,7 @@ def presets() -> dict[str, dict]:
               show_default=True, help="Output directory.")
 @click.option("--seed", type=int, default=None, help="Override the RNG seed.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for Monte-Carlo sampling.")
+              help="Worker threads for Monte-Carlo sampling (mc-verify).")
 def main(target, config_path, out_dir, seed, threads):
     """Run the experiment or preset named TARGET.
 

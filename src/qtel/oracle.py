@@ -56,8 +56,8 @@ _SUBTREE = 2**14
 # The total probability is summed one block of 2**15 sequences (256 kB) at a time.
 _PROB_BLOCK = 2**15
 
-# Each thread keeps the enumeration's subtree buffers (2.9 MB at 2**14 prefixes) for its
-# next call.  glibc serves a call's largest request from a fresh mmap unless a larger
+# Each thread keeps the enumeration's buffers (2.9 MB at 2**14 prefixes) for its next
+# call.  glibc serves a call's largest request from a fresh mmap unless a larger
 # block was freed before, and faulting those pages in took 0.4 to 1 ms per call at
 # n = 14..18 on a 2-core Xeon VM, where all of n = 14 takes 0.7 ms.
 _workspace = threading.local()
@@ -122,8 +122,8 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
 
     The sequences are summed one subtree of 2**14 prefixes at a time, and
     their probabilities one block of 2**15, so the working set stays under
-    about 3 MB for any n.  Each calling thread keeps its subtree buffers
-    for its next call.
+    about 3 MB for any n.  Each calling thread keeps its buffers for its
+    next call.
     """
     f = _single_fluctuator(sys)
     n_steps = _integer(n_steps, "n_steps")
@@ -133,13 +133,6 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     dist = sys.distributions()[0]
 
     n_seq = 2**n_steps
-    probs = np.empty(min(n_seq, _PROB_BLOCK))
-    probs[:2] = dist.p_plus, dist.p_minus
-    rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
-    if n_steps == 1:  # rot @ I would turn a -0.0 entry into +0.0
-        return SequenceEnsembleResult(t_matrix=rot[0] * probs[0] + rot[1] * probs[1],
-                                      n_steps=1, dt=dt, total_probability=float(probs.sum()))
-
     # The (n - 1)-step prefixes are split into subtrees: subtree `low` holds every prefix
     # whose code has `low` in its low bits, that is, the same first levels.  The pairwise
     # sum halves its terms top bit first, so it sums over the high bits while the low bits
@@ -153,22 +146,33 @@ def enumerate_sequences(sys: SystemSpec, dt: float, n_steps: int) -> SequenceEns
     # products.  head_probs holds the probabilities of those sequences, taken on the
     # way to the first block of all 2**n.
     n_head = min(half, _BLOCK)
-    _extend_probabilities(probs[:n_head], w, 2)
-    head_probs = probs[:n_head].copy()
-    _extend_probabilities(probs, w, n_head)
-    total = _total_probability(probs, w, n_steps)
-    del probs  # each subtree rebuilds its own probabilities in cache
 
-    # The subtree buffers, one after another in this thread's workspace.
+    # The buffers, one after another in this thread's workspace.  Products are not written
+    # until the total probability is summed, so the probabilities' blocks alias them.
     width = min(size, _BLOCK)
-    shapes = [(3, size, 3), (2 * size, 3), (3, 3 * width), (3, 3 * width), (3, n_head, 3)]
+    shapes = [(3, size, 3), (2 * size, 3), (3, 3 * width), (3, 3 * width), (3, n_head, 3),
+              (n_head,)]
     lengths = [math.prod(shape) for shape in shapes]
     buf = getattr(_workspace, "buf", None)
     if buf is None or len(buf) < sum(lengths):
         buf = _workspace.buf = np.empty(sum(lengths))
     starts = np.cumsum([0, *lengths])
-    products, sub_probs, lower, upper, head_copy = (
+    products, sub_probs, lower, upper, head_copy, head_probs = (
         buf[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes))
+    n_probs = min(n_seq, _PROB_BLOCK)
+    probs, block = buf[:n_probs], buf[n_probs : 2 * n_probs]
+
+    probs[:2] = dist.p_plus, dist.p_minus
+    rot = np.stack([step_rotation(sys.b0, f.g, +1, dt), step_rotation(sys.b0, f.g, -1, dt)])
+    if n_steps == 1:  # rot @ I would turn a -0.0 entry into +0.0
+        return SequenceEnsembleResult(t_matrix=rot[0] * probs[0] + rot[1] * probs[1],
+                                      n_steps=1, dt=dt, total_probability=float(probs.sum()))
+
+    _extend_probabilities(probs[:n_head], w, 2)
+    head_probs[:] = probs[:n_head]
+    _extend_probabilities(probs, w, n_head)
+    total = _total_probability(probs, w, n_steps, block)
+    del probs, block  # products overwrite them; each subtree rebuilds its own probabilities
 
     # With one subtree the heads are its first block, and numpy skips their copy onto
     # themselves below.
@@ -227,7 +231,8 @@ def _extend_probabilities(probs: np.ndarray, w: np.ndarray, m: int) -> None:
         m *= 2
 
 
-def _total_probability(first: np.ndarray, w: np.ndarray, n_steps: int) -> float:
+def _total_probability(first: np.ndarray, w: np.ndarray, n_steps: int,
+                       block: np.ndarray) -> float:
     """Sum of all 2**n_steps sequence probabilities, with the bits of numpy's ``sum``.
 
     ``first`` holds the first 2**k of them, every k-step sequence, laid out as
@@ -237,13 +242,12 @@ def _total_probability(first: np.ndarray, w: np.ndarray, n_steps: int) -> float:
     k's factor depends on bit k - 1 as well, so it scales the block's halves
     apart.  numpy's pairwise sum over the 2**n probabilities halves them top
     bit first, so it sums each block alone and folds the sums in adjacent
-    pairs.
+    pairs.  ``block``, as long as ``first``, holds one block at a time.
     """
     k = len(first).bit_length() - 1
     if k == n_steps:
         return float(first.sum())
     h = len(first) // 2
-    block = np.empty_like(first)
     sums = np.empty(2 ** (n_steps - k))
     for b in range(len(sums)):
         np.multiply(first[:h], w[b & 1, 0], out=block[:h])

@@ -104,6 +104,30 @@ def test_non_finite_input_named(analyse, name, times, signal):
         analyse(times, signal)
 
 
+# Curves that used to raise IndexError, numpy's shape errors or a divide-by-zero warning,
+# or that the fit flattened and fitted.
+GRID = np.linspace(0.0, 4.0, 5)
+BAD_CURVES = [
+    pytest.param("times", "must hold at least 2 samples", [0.0], [1.0], id="one-sample"),
+    pytest.param("signal", "must hold one value per time", GRID, np.exp(-GRID[:4]),
+                 id="unequal-lengths"),
+    pytest.param("times", "must be 1-d", np.tile(np.arange(10.0), (5, 1)),
+                 np.exp(-np.tile(np.arange(10.0), (5, 1))), id="2-d"),
+    pytest.param("signal", "must be 1-d", GRID, np.exp(-GRID)[:, None], id="2-d-signal"),
+    pytest.param("times", "must be strictly increasing", [0.0, 1.0, 1.0, 2.0, 3.0],
+                 np.exp(-GRID), id="repeated-time"),
+    pytest.param("times", "must be strictly increasing", GRID[::-1], np.exp(-GRID),
+                 id="decreasing-times"),
+]
+
+
+@pytest.mark.parametrize("name, message, times, signal", BAD_CURVES)
+@pytest.mark.parametrize("analyse", [detect_plateaus, detect_steps, fit_exponential_decay])
+def test_bad_curve_named(analyse, name, message, times, signal):
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        analyse(times, signal)
+
+
 @pytest.mark.parametrize("log_scale", [False, True])
 def test_plateaus_of_a_decay_with_one_nan_rejected(log_scale):
     times = np.linspace(0.0, 40.0, 401)

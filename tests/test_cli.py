@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -24,6 +25,23 @@ SHRUNK = {
 
 NAN = float("nan")
 MC_VERIFY = {"experiment": "mc-verify", "g": 0.3, "theta": 0.7, "probe_times": [1.0, 2.0]}
+# A valid config of each experiment, and a valid value other than its default for every
+# field but experiment.
+BASES = {"free-decay": presets()["fig2"], "rates-sweep": presets()["fig3a"],
+         "bang-bang": presets()["fig4a"], "echo": presets()["fig5"], "mc-verify": MC_VERIFY,
+         "enum-verify": {"experiment": "enum-verify"}}
+NON_DEFAULT = {
+    "b0": 1.5, "gamma": 0.2, "eta": 0.05, "g": 0.2, "g_vector": [0.1, 0.0, 0.2], "theta": 0.3,
+    "theta_values": [0.1, 0.2], "theta_points": 5, "eta_values": [0.0, 0.05],
+    "white_noise": [0.01, 0.0, 0.01], "initial": [0.0, 1.0, 0.0], "frame": "rotating",
+    "t_max": 5.0, "t_points": 11, "tau_min": 0.5, "tau_max": 8.0, "tau_points": 5,
+    "tau_spacing": "log", "pulse_axis": "x", "dt": 0.05, "n_steps": 8,
+    "probe_times": [1.0, 3.0], "n_samples": 1000, "seed": 5, "workers": 2,
+}
+UNREAD = [pytest.param(experiment, f.name, id=f"{experiment}-{f.name}")
+          for experiment, (*_, reads) in cli.EXPERIMENTS.items()
+          for f in dataclasses.fields(ExperimentConfig)
+          if f.name not in {*reads, "experiment", "seed"}]
 
 
 class TestConfigValidation:
@@ -137,6 +155,25 @@ class TestConfigValidation:
     def test_fields_a_sweep_ignores_rejected(self, raw, field):
         with pytest.raises(ConfigError, match=rf"\n  {field}: not read by"):
             ExperimentConfig.from_dict(raw)
+
+    # Each field that an experiment does not read is refused by one rule, by name.
+    @pytest.mark.parametrize("experiment, name", UNREAD)
+    def test_field_not_read_refused(self, experiment, name):
+        with pytest.raises(ConfigError, match=rf"\n  {name}: not read by {experiment}(\n|$)"):
+            ExperimentConfig.from_dict(BASES[experiment] | {name: NON_DEFAULT[name]})
+
+    # ... and each field it reads, and the seed, take a value other than the default.
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_fields_read_taken(self, experiment):
+        *_, reads = cli.EXPERIMENTS[experiment]
+        for name in (*reads, "seed"):
+            if (experiment, name) != ("mc-verify", "white_noise"):  # the sampler takes none
+                ExperimentConfig.from_dict(BASES[experiment] | {name: NON_DEFAULT[name]})
+
+    def test_read_fields_are_config_fields(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment", "seed"}
+        for experiment, (*_, reads) in cli.EXPERIMENTS.items():
+            assert reads <= names, experiment
 
     def test_rates_sweep_takes_zero_white_noise(self):
         ExperimentConfig.from_dict(presets()["fig3a"] | {"white_noise": [0.0, 0.0, 0.0]})
@@ -398,6 +435,20 @@ class TestCliEntryPoint:
         result = CliRunner().invoke(main, ["echo", "--out", str(tmp_path)])
         assert result.exit_code != 0
         assert "theta_values" in result.output
+
+    def test_threads_only_for_monte_carlo(self, tmp_path):
+        # --threads sets workers, which only mc-verify reads; --seed is taken everywhere.
+        result = CliRunner().invoke(main, ["fig2", "--threads", "2", "--out", str(tmp_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "workers: not read by free-decay" in result.output
+        assert not (tmp_path / "fig2.csv").exists()
+        result = CliRunner().invoke(main, ["fig2", "--seed", "5", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps(MC_VERIFY | {"n_samples": 200}))
+        result = CliRunner().invoke(main, ["mc-verify", "--config", str(config), "--threads", "2",
+                                           "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
 
     def test_enum_verify_prints_error_line(self, tmp_path):
         result = CliRunner().invoke(main, ["enum-verify", "--out", str(tmp_path)])
