@@ -12,13 +12,14 @@ the table's rows, the table's columns and units, and the config fields
 the runner reads; ``run`` builds the ``ResultTable``.  Presets (fig2 ...
 fig6) reproduce the library's reference figures at desk scale.
 
-A config is checked in full before any work starts.  Each raw value must
-first have the type its field is annotated with.  A field the experiment
-does not read must keep its default (``experiment``, ``seed`` and an
-all-zero ``white_noise`` excepted).  The module checks only its own
-fields' rules; each physical value is checked by building what the run
-builds, so the range checks live once, in the library's spec dataclasses
-and ``model._switch_matrix``, and their messages are reported as they are.
+A config is checked in full before any work starts.  Each raw value must first have
+the type its field is annotated with.  A field the experiment does not read must keep
+its default (``experiment``, ``seed`` and an all-zero ``white_noise`` excepted), as must
+``g`` and ``theta`` beside ``g_vector`` and ``theta_points`` beside ``theta_values``,
+which override them.  The module checks only its own fields' rules; each physical
+value is checked by building what the run builds, so the range checks live once, in
+the library's spec dataclasses and ``model._switch_matrix``, and their messages are
+reported as they are.
 """
 
 from __future__ import annotations
@@ -50,10 +51,8 @@ from .superop import (
     discrete_transfer_operator,
     spectral_decomposition,
     transfer_from_spectral,
-    _decompose_stack,
     _generator_stack,
-    _member_blocks,
-    _sweep_member,
+    _sweep,
 )
 
 __all__ = ["ExperimentConfig", "ResultTable", "ConfigError", "presets", "run", "main"]
@@ -141,6 +140,10 @@ class ExperimentConfig:
         if "workers" in reads and self.workers < 1:
             errors.append("workers: must be >= 1")
         coupled = "g_vector" in reads and self.g_vector is not None
+        errors.extend(f"{name}: not read when g_vector is given"
+                      for name in ("g", "theta") if coupled and getattr(self, name) is not None)
+        if "theta_points" in reads and self.theta_values and self.theta_points:
+            errors.append("theta_points: not read when theta_values is given")
         if "g" in reads and self.g is None and not coupled:
             errors.append(f"{'g or g_vector' if 'g_vector' in reads else 'g'}: required")
         elif "theta" in reads and self.theta is None and not coupled:
@@ -190,7 +193,7 @@ class ExperimentConfig:
     def coupling_vector(self) -> np.ndarray:
         if self.g_vector is not None:
             return np.asarray(self.g_vector, dtype=float)
-        return self.g * np.array([math.sin(self.theta), 0.0, math.cos(self.theta)])
+        return _coupling(self.g, self.theta)
 
     def system(self, g_vector=None, eta=None) -> SystemSpec:
         gvec = self.coupling_vector() if g_vector is None else np.asarray(g_vector, float)
@@ -296,6 +299,11 @@ def _type_errors(cls, raw: dict) -> list[str]:
     return errors
 
 
+def _coupling(g: float, theta: float) -> np.ndarray:
+    """The coupling vector of magnitude ``g`` at angle ``theta`` from the static field."""
+    return g * np.array([math.sin(theta), 0.0, math.cos(theta)])
+
+
 def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
@@ -364,14 +372,14 @@ def _run_bang_bang(cfg: ExperimentConfig) -> np.ndarray:
 def _run_echo(cfg: ExperimentConfig) -> np.ndarray:
     times = np.linspace(0.0, cfg.t_max, cfg.t_points)
     thetas = np.asarray(cfg.theta_values, dtype=float)
-    couplings = cfg.g * np.array([[math.sin(theta), 0.0, math.cos(theta)] for theta in thetas])
+    couplings = np.array([_coupling(cfg.g, theta) for theta in thetas])
     systems = [cfg.system(g_vector=gvec) for gvec in couplings]
     # The angles differ only in their coupling: their generators are built and decomposed
     # as stacks, and each angle's echo reads its own member.
     signals = []
-    for block in _member_blocks(len(systems), systems[0].dimension):
-        mats = _generator_stack(systems[0], couplings[block, None, :])
-        spectra = _decompose_stack(mats, _sweep_member(block, len(systems)))
+    stacks = _sweep(lambda block: _generator_stack(systems[0], couplings[block, None, :]),
+                    len(systems), systems[0].dimension)
+    for block, mats, spectra, _ in stacks:
         for b, sys in enumerate(systems[block]):
             op = Superoperator(mat=mats[b], kind=KIND_GENERATOR, system=sys)
             signals.append(echo_signal(sys, times, sd=spectra.member(b, op)))
@@ -414,9 +422,8 @@ def _run_enum_verify(cfg: ExperimentConfig) -> np.ndarray:
     worst = 0.0
     worst_prob = 0.0
     for gamma, eta, g, theta in ENUM_VERIFY_GRID:
-        gvec = g * np.array([math.sin(theta), 0.0, math.cos(theta)])
         sys = SystemSpec(
-            b0=cfg.b0, fluctuators=(FluctuatorSpec(g=gvec, gamma=gamma, eta=eta),)
+            b0=cfg.b0, fluctuators=(FluctuatorSpec(g=_coupling(g, theta), gamma=gamma, eta=eta),)
         )
         enum = enumerate_sequences(sys, cfg.dt, cfg.n_steps)
         step = discrete_transfer_operator(sys, cfg.dt)

@@ -14,9 +14,9 @@ for the contraction engine in :mod:`qtel.superop`.  Bang-bang builds its
 pulsed rates and the transfer after any number of periods, unless it is
 flagged defective, when the engine composes the transfer from the pulses and
 free segments.  Given an array of pulse spacings, ``bang_bang_operator`` builds
-every period from the one generator decomposition and decomposes them as
-stacks, one eigensolve per stack; a single spacing is the one-member case.
-Times and spacings must be finite.
+every period from the one generator decomposition, and the sweep engine in
+:mod:`qtel.superop` decomposes them one stack at a time; a single spacing is the
+one-member case.  Times and spacings must be finite.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemSpec, as_bloch_array, rotation_matrix
+from .model import SystemSpec, _require_finite, as_bloch_array, rotation_matrix
 from .rates import ChannelRates, _rate_resolution, _select_rates
 from .superop import (
     SpectralDecomposition,
@@ -34,12 +34,10 @@ from .superop import (
     spectral_decomposition,
     transfer_from_spectral,
     _compose,
-    _decompose_stack,
     _exp_generator,
-    _member_blocks,
     _mode_weights,
     _pair_scaled,
-    _sweep_member,
+    _sweep,
 )
 
 __all__ = [
@@ -171,8 +169,7 @@ def to_rotating_frame(traj: BlochTrajectory, b0: float) -> BlochTrajectory:
     """Undo the static-field precession: n_rot(t) = R_z(-b0 t) n(t)."""
     if traj.frame != FRAME_LAB:
         raise ValueError("trajectory is already in the rotating frame")
-    if not np.isfinite(b0):
-        raise ValueError(f"b0 must be finite, got {b0}")
+    _require_finite(b0=b0)
     angles = -b0 * traj.times
     cos, sin = np.cos(angles), np.sin(angles)
     x, y, z = traj.points.T
@@ -224,25 +221,22 @@ def bang_bang_operator(
         raise ValueError("axis must be 'x' or 'y'")
     if sd is None:
         sd = spectral_decomposition(decoherence_generator(sys))
-    results = []
-    for block in _member_blocks(flat.size, sd.dimension):
-        name = _sweep_member(block, flat.size, flat)
-        results += _bang_bang_stack(sd, flat[block], n_pulses, axis, name)
+    # Each period is V diag(e^{-lambda tau}) V^-1 from sd, then the right factor I (x) R:
+    # the rotation mixes the Bloch index of the columns.
+    d, results = sd.dimension, []
+    stacks = _sweep(lambda block: (_exp_generator(sd, flat[block]).reshape(-1, 3)
+                                   @ _PI_PULSES[axis]).reshape(-1, d, d), flat.size, d, flat)
+    for block, _, spectra, name in stacks:
+        results += _bang_bang_stack(sd, flat[block], spectra, n_pulses, axis, name)
     return results[0] if taus.ndim == 0 else tuple(results)
 
 
-def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, n_pulses: int,
+def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, spectra, n_pulses: int,
                      axis: str, name) -> list[BangBangResult]:
-    """Bang-bang results of every spacing in ``taus``, decomposed as one stack.
+    """Bang-bang results of every spacing in ``taus`` from their periods' ``spectra``.
 
-    All periods come from the one generator decomposition ``sd``,
-    ``V diag(e^{-lambda tau}) V^-1`` followed by ``I (x) R``.  ``name(b)``
-    names member b in errors.
+    ``sd`` is the periods' generator decomposition; ``name(b)`` names member b in errors.
     """
-    # Right factor I (x) R: the rotation mixes the Bloch index of the columns.
-    free = _exp_generator(sd, taus)
-    periods = (free.reshape(-1, 3) @ _PI_PULSES[axis]).reshape(free.shape)
-    spectra = _decompose_stack(periods, name)
     mu = spectra.eigenvalues
     with np.errstate(divide="ignore"):
         candidate_rates = -np.log(np.abs(mu)) / taus[:, None]

@@ -31,11 +31,9 @@ from .superop import (
     boundary_projectors,
     decoherence_generator,
     spectral_decomposition,
-    _decompose_stack,
     _generator_stack,
-    _member_blocks,
     _mode_weights,
-    _sweep_member,
+    _sweep,
 )
 
 __all__ = [
@@ -238,7 +236,7 @@ def _select_rates(mode_rates: np.ndarray, weights: np.ndarray, near=None,
     missing = np.isnan(weights).any(axis=(1, 2))
     if missing.any():
         b = int(np.argmax(missing))
-        name = name or _sweep_member(slice(0, len(weights)), len(weights))
+        name = name or f"member {{}} of {len(weights)}".format
         raise EigendecompositionError(
             f"no left eigenvectors: the eigenvector matrix is singular ({name(b)})"
         )
@@ -411,9 +409,9 @@ def angle_sweep(
     sys = SystemSpec(b0=b0, fluctuators=(FluctuatorSpec(g=np.zeros(3), gamma=gamma, eta=eta),))
     boundary = boundary_projectors(sys)
     rz, rxy = np.empty_like(theta_grid), np.empty_like(theta_grid)
-    for block in _member_blocks(len(theta_grid), sys.dimension):
-        name = _sweep_member(block, len(theta_grid))
-        spectra = _decompose_stack(_generator_stack(sys, couplings[block, None, :]), name)
+    stacks = _sweep(lambda block: _generator_stack(sys, couplings[block, None, :]),
+                    len(theta_grid), sys.dimension)
+    for block, _, spectra, name in stacks:
         weights = _mode_weights(boundary, spectra)
         # Only the rates are read, so the grouping behind the ambiguity flags never runs.
         selected = _select_rates(spectra.eigenvalues.real, weights, name=name).rates

@@ -15,6 +15,8 @@ Every observable is one boundary contraction over fluctuator indices,
 one engine here applies these factors, over a time grid, to the columns of the
 ``d x 3`` preparation map that a caller reads (all three for a transfer matrix, the
 z column for the echo), and the free transfer matrix T(t) is its one-segment case.
+A sweep of operators over one parameter, such as the angle or the pulse spacing, is
+cut into stacks of bounded size, named and decomposed by one engine, ``_sweep``.
 
 Every operator is real, so its complex eigenpairs come in conjugate pairs,
 which LAPACK returns as two real columns ``Re v`` and ``Im v``.  A decomposition
@@ -75,6 +77,9 @@ IMAG_TOL = 1e-10
 # more than the imaginary roundoff the complex form would carry, condition * eps <= IMAG_TOL.
 # Rates still come from the spectral weights.
 DEFECTIVE_CONDITION = IMAG_TOL / np.finfo(float).eps
+
+# Entries in one stack of a sweep, one member at least: 1820 members at d = 6, one from 256.
+_STACK_ENTRIES = 2**16
 
 
 class EigendecompositionError(RuntimeError):
@@ -304,7 +309,7 @@ def _decompose_stack(mats: np.ndarray, name=None) -> _Spectra:
     """
     if not np.all(np.isfinite(mats)):
         raise ValueError("operator entries must be finite")
-    name = name or _sweep_member(slice(0, len(mats)), len(mats))
+    name = name or f"member {{}} of {len(mats)}".format
     try:
         eigenvalues, right = np.linalg.eig(mats)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -374,27 +379,22 @@ def _pair_layout(eigenvalues: np.ndarray, name) -> tuple[np.ndarray, np.ndarray,
     return first, second, np.arange(eigenvalues.shape[-1]) + first - second
 
 
-def _member_blocks(n_members: int, dim: int) -> list[slice]:
-    """Slices that cut a sweep of ``n_members`` ``dim x dim`` operators into stacks.
+def _sweep(build, n_members: int, dim: int, taus: np.ndarray | None = None):
+    """Decompose a sweep of ``n_members`` ``dim x dim`` operators, one stack at a time.
 
-    A stack holds at most ``2**16`` matrix entries and one member at least, so a
-    sweep's working arrays stay bounded whatever its length: 1820 members at
-    d = 6, one member from d = 256.
+    ``build(block)`` returns the operators of the members in the slice ``block``.  Yields
+    ``(block, operators, spectra, name)`` per stack; ``name(b)`` names member b of the
+    stack by its index in the sweep, with its spacing given the sweep's ``taus``:
+    "member i of n, tau x".
     """
-    step = max(1, 2**16 // dim**2)
-    return [slice(k, k + step) for k in range(0, n_members, step)]
-
-
-def _sweep_member(block: slice, n_members: int, taus: np.ndarray | None = None):
-    """Name member b of the stack ``block`` by its index in a sweep of ``n_members``.
-
-    Given the sweep's spacings ``taus``, the name gives the member's ``tau`` too.
-    """
-    def name(b: int) -> str:
-        index = block.start + b
-        spacing = "" if taus is None else f", tau {float(taus[index])}"
-        return f"member {index} of {n_members}{spacing}"
-    return name
+    step = max(1, _STACK_ENTRIES // dim**2)
+    for start in range(0, n_members, step):
+        def name(b: int, start=start) -> str:
+            spacing = "" if taus is None else f", tau {float(taus[start + b])}"
+            return f"member {start + b} of {n_members}{spacing}"
+        block = slice(start, start + step)
+        mats = build(block)
+        yield block, mats, _decompose_stack(mats, name), name
 
 
 def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
@@ -409,8 +409,8 @@ def spectral_decomposition(op: Superoperator) -> SpectralDecomposition:
     inversion (``condition = inf``) sets the ``defective`` flag.  The
     operator is real, so LAPACK's real eigensolver runs and its complex
     eigenpairs come in conjugate pairs.  It is the
-    one-member case of the stacked decomposition that the rates and bang-bang
-    sweeps run, so every gate is applied in one place.
+    one-member case of the stacked decomposition that every sweep runs, so every
+    gate is applied in one place.
     """
     return _decompose_stack(op.mat[None]).member(0, op)
 

@@ -38,6 +38,8 @@ NON_DEFAULT = {
     "tau_spacing": "log", "pulse_axis": "x", "dt": 0.05, "n_steps": 8,
     "probe_times": [1.0, 3.0], "n_samples": 1000, "seed": 5, "workers": 2,
 }
+# The fields that each of these replaces when given.
+REPLACES = {"g_vector": ("g", "theta"), "theta_values": ("theta_points",)}
 UNREAD = [pytest.param(experiment, f.name, id=f"{experiment}-{f.name}")
           for experiment, (*_, reads) in cli.EXPERIMENTS.items()
           for f in dataclasses.fields(ExperimentConfig)
@@ -162,13 +164,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"\n  {name}: not read by {experiment}(\n|$)"):
             ExperimentConfig.from_dict(BASES[experiment] | {name: NON_DEFAULT[name]})
 
-    # ... and each field it reads, and the seed, take a value other than the default.
+    # ... and each field it reads, and the seed, take a value other than the default; a
+    # field that replaces others is set with those others unset.
     @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
     def test_fields_read_taken(self, experiment):
         *_, reads = cli.EXPERIMENTS[experiment]
         for name in (*reads, "seed"):
             if (experiment, name) != ("mc-verify", "white_noise"):  # the sampler takes none
-                ExperimentConfig.from_dict(BASES[experiment] | {name: NON_DEFAULT[name]})
+                base = {k: v for k, v in BASES[experiment].items()
+                        if k not in REPLACES.get(name, ())}
+                ExperimentConfig.from_dict(base | {name: NON_DEFAULT[name]})
+
+    # A field that an alternative given beside it overrides used to pass and leave the CSV
+    # unchanged.
+    @pytest.mark.parametrize(
+        "experiment, name, given",
+        [pytest.param(e, name, "g_vector", id=f"{e}-{name}")
+         for e in ("free-decay", "bang-bang", "mc-verify") for name in REPLACES["g_vector"]]
+        + [pytest.param("rates-sweep", "theta_points", "theta_values",
+                        id="rates-sweep-theta_points")],
+    )
+    def test_overridden_field_refused(self, experiment, name, given):
+        raw = BASES[experiment] | {name: NON_DEFAULT[name], given: NON_DEFAULT[given]}
+        with pytest.raises(ConfigError, match=rf"\n  {name}: not read when {given} is given(\n|$)"):
+            ExperimentConfig.from_dict(raw)
 
     def test_read_fields_are_config_fields(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment", "seed"}
@@ -370,8 +389,7 @@ class TestRun:
         # and runs expm, the others run the spectral form, all from one stacked eigensolve
         # (or, in stacks of two, from the second stack).
         if split:
-            monkeypatch.setattr(cli, "_member_blocks",
-                                lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+            monkeypatch.setattr(superop, "_STACK_ENTRIES", 2 * 6**2)
         cfg = ExperimentConfig.from_dict({"experiment": "echo", "g": 0.1, "gamma": 0.1,
                                           "theta_values": [0.7, 1.2, 0.0],
                                           "t_max": 40.0, "t_points": 41})
@@ -384,6 +402,24 @@ class TestRun:
             assert np.array_equal(block[:, 0], np.full(len(times), theta))
             assert np.array_equal(block[:, 1], times)
             assert np.array_equal(block[:, 2], echo_signal(sys, times))
+
+    def test_every_sweep_stack_decomposed_in_superop(self, monkeypatch, tmp_path):
+        # Every decomposition of these runs, each sweep stack included, passes through the one
+        # stacked decomposition in superop.
+        decompose, shapes = superop._decompose_stack, []
+
+        def recording(mats, name=None):
+            shapes.append(mats.shape)
+            return decompose(mats, name)
+
+        monkeypatch.setattr(superop, "_decompose_stack", recording)
+        shrunk = {"fig2": {"t_points": 11}, "fig3a": {"theta_points": 5},
+                  "fig4a": {"tau_points": 4}, "fig5": {"t_points": 11}}
+        for preset, override in shrunk.items():
+            run(ExperimentConfig.from_dict(presets()[preset] | override), tmp_path)
+        # fig2 and fig4a decompose their generator; fig3a has a stack per eta, fig4a one of
+        # its periods and fig5 one of its angles.
+        assert shapes == [(1, 6, 6), (5, 6, 6), (5, 6, 6), (1, 6, 6), (4, 6, 6), (3, 6, 6)]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"experiment": "enum-verify"})

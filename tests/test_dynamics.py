@@ -214,15 +214,16 @@ class TestBangBang:
         sd = spectral_decomposition(decoherence_generator(sys))
         taus = np.geomspace(0.05, 40.0, 11)
         whole = bang_bang_operator(sys, taus, 2, axis="x", sd=sd)
-        calls = []
+        decompose, calls = superop._decompose_stack, []
 
-        def blocks_of_three(n_members, dim):
-            calls.append((n_members, dim))
-            return [slice(k, k + 3) for k in range(0, n_members, 3)]
+        def recording(mats, name):
+            calls.append(mats.shape)
+            return decompose(mats, name)
 
-        monkeypatch.setattr(dynamics, "_member_blocks", blocks_of_three)
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", 3 * 12**2)
+        monkeypatch.setattr(superop, "_decompose_stack", recording)
         split = bang_bang_operator(sys, taus, 2, axis="x", sd=sd)
-        assert calls == [(11, 12)]
+        assert calls == [(3, 12, 12)] * 3 + [(2, 12, 12)]
         for a, b in zip(whole, split, strict=True):
             assert_same_bang_bang(a, b)
 
@@ -266,8 +267,7 @@ class TestBangBang:
         spectral = bang_bang_operator(sys, taus, 5, "y", sd)
         assert not any("near-defective" in r.rates.flags for r in spectral)
         monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", 5.0)  # each period's is 6
-        monkeypatch.setattr(dynamics, "_member_blocks",
-                            lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", 2 * sd.dimension**2)
         compose_expm, grids = superop._compose_expm, []
 
         def recording(sd, steps, prepare):
@@ -285,7 +285,7 @@ class TestBangBang:
         sys = two_fluctuator_system()
         sd = spectral_decomposition(decoherence_generator(sys))
         taus = np.array([1.3, 0.4, 2.9])
-        decompose = dynamics._decompose_stack
+        decompose = superop._decompose_stack
         residuals = []
 
         def recording(mats, name):
@@ -294,13 +294,12 @@ class TestBangBang:
             return spectra
 
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_decompose_stack", recording)
+            patch.setattr(superop, "_decompose_stack", recording)
             bang_bang_operator(sys, taus, 5, "y", sd)
         taus = taus[np.argsort(residuals)]
         worst, second = np.sort(residuals)[::-1][:2]
         assert worst > second
-        monkeypatch.setattr(dynamics, "_member_blocks",
-                            lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", 2 * sd.dimension**2)
         with monkeypatch.context() as patch:
             patch.setattr(superop, "RESIDUAL_TOL", (worst + second) / 2)
             with pytest.raises(EigendecompositionError,
@@ -313,7 +312,7 @@ class TestBangBang:
                 return spectra
             return spectra._replace(l_r=np.full_like(spectra.l_r, np.nan))
 
-        monkeypatch.setattr(dynamics, "_decompose_stack", second_stack_without_left_vectors)
+        monkeypatch.setattr(superop, "_decompose_stack", second_stack_without_left_vectors)
         with pytest.raises(EigendecompositionError,
                            match=rf"no left eigenvectors.*\(member 2 of 3, tau {taus[2]}\)"):
             bang_bang_operator(sys, taus, 5, "y", sd)

@@ -524,8 +524,7 @@ class TestAngleSweep:
     def test_sweep_split_into_stacks_equals_one_stack(self, monkeypatch):
         thetas = np.linspace(0.0, np.pi / 2, 61)
         whole = angle_sweep(1.0, 0.3, 0.1, 0.0, thetas)
-        monkeypatch.setattr(rates, "_member_blocks",
-                            lambda n, dim: [slice(k, k + 4) for k in range(0, n, 4)])
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", 4 * 6**2)
         split = angle_sweep(1.0, 0.3, 0.1, 0.0, thetas)
         assert np.array_equal(whole.rate_z, split.rate_z)
         assert np.array_equal(whole.rate_xy, split.rate_xy)
@@ -536,8 +535,7 @@ class TestAngleSweep:
         conditions = [spectral_decomposition(decoherence_generator(s)).condition for s in systems]
         assert np.argmax(conditions) == 2
         monkeypatch.setattr(superop, "DEFECTIVE_CONDITION", np.sort(conditions)[-2:].mean())
-        monkeypatch.setattr(rates, "_member_blocks",
-                            lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", 2 * 6**2)
         sweep = angle_sweep(1.0, 0.1, 0.5, 0.0, thetas)
         singles = [free_decay_rates(s) for s in systems]
         assert ["near-defective" in cr.flags for cr in singles] == [False, False, True]
@@ -552,13 +550,12 @@ class TestAngleSweep:
         thetas = thetas[np.argsort(residuals)]
         worst, second = np.sort(residuals)[::-1][:2]
         assert worst > second
-        monkeypatch.setattr(rates, "_member_blocks",
-                            lambda n, dim: [slice(k, k + 2) for k in range(0, n, 2)])
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", 2 * 6**2)
         with monkeypatch.context() as patch:
             patch.setattr(superop, "RESIDUAL_TOL", (worst + second) / 2)
             with pytest.raises(EigendecompositionError, match=r"\(member 2 of 3\)"):
                 angle_sweep(1.0, 0.1, 0.5, 0.0, thetas)
-        decompose = rates._decompose_stack
+        decompose = superop._decompose_stack
 
         def second_stack_without_left_vectors(mats, name=None):
             spectra = decompose(mats, name)
@@ -566,6 +563,6 @@ class TestAngleSweep:
                 return spectra
             return spectra._replace(l_r=np.full_like(spectra.l_r, np.nan))
 
-        monkeypatch.setattr(rates, "_decompose_stack", second_stack_without_left_vectors)
+        monkeypatch.setattr(superop, "_decompose_stack", second_stack_without_left_vectors)
         with pytest.raises(EigendecompositionError, match=r"no left eigenvectors.*\(member 2 of 3\)"):
             angle_sweep(1.0, 0.1, 0.5, 0.0, thetas)
