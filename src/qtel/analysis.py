@@ -144,10 +144,7 @@ def detect_plateaus(times, signal, log_scale: bool = False) -> tuple[Plateau, ..
 
 def _plateaus(times: np.ndarray, slope: np.ndarray) -> tuple[Plateau, ...]:
     """The plateaus of ``detect_plateaus``, from the curve's sampled ``slope``."""
-    peak = np.abs(slope).max()
-    if peak == 0.0:
-        return ()
-    flat = np.abs(slope) < FLAT_SLOPE_FRACTION * peak
+    flat = np.abs(slope) < FLAT_SLOPE_FRACTION * np.abs(slope).max()
     return tuple(
         Plateau(t_start=float(times[i]), t_end=float(times[j]))
         for i, j in _runs(flat)

@@ -224,37 +224,27 @@ def bang_bang_operator(
     # Each period is V diag(e^{-lambda tau}) V^-1 from sd, then the right factor I (x) R:
     # the rotation mixes the Bloch index of the columns.
     d, results = sd.dimension, []
+    readout, prepare = sd.operator.boundary
     stacks = _sweep(lambda block: (_exp_generator(sd, flat[block]).reshape(-1, 3)
                                    @ _PI_PULSES[axis]).reshape(-1, d, d), flat.size, d, flat)
     for block, _, spectra, name in stacks:
-        results += _bang_bang_stack(sd, flat[block], spectra, n_pulses, axis, name)
+        spacings, mu, defective = flat[block], spectra.eigenvalues, spectra.defective
+        with np.errstate(divide="ignore"):  # |mu| = 0 has rate +inf
+            candidate_rates = -np.log(np.abs(mu)) / spacings[:, None]
+        near = _rate_resolution(spectra.condition, defective, 1.0 / spacings)
+        rates = _select_rates(candidate_rates, _mode_weights((readout, prepare), spectra), near, name)
+        # U**n = V_r B L_r with B the block form of mu**n, so the transfer is real by construction.
+        modes = _pair_scaled(readout @ spectra.v_r, spectra.partner, mu**n_pulses)
+        transfer = modes @ (spectra.l_r @ prepare)
+        if defective.any():  # their schedules, pulse then free tau, composed as one grid
+            steps = [("pulse", _PI_PULSES[axis]), ("free", spacings[defective])] * n_pulses
+            transfer[defective] = _compose(sd, steps, prepare)
+        results += [BangBangResult(transfer=transfer[b], eigenvalues=mu[b],
+                                   candidate_rates=candidate_rates[b],
+                                   rates=rates.member(b, defective[b]),
+                                   tau=float(tau), n_pulses=n_pulses, axis=axis)
+                    for b, tau in enumerate(spacings)]
     return results[0] if taus.ndim == 0 else tuple(results)
-
-
-def _bang_bang_stack(sd: SpectralDecomposition, taus: np.ndarray, spectra, n_pulses: int,
-                     axis: str, name) -> list[BangBangResult]:
-    """Bang-bang results of every spacing in ``taus`` from their periods' ``spectra``.
-
-    ``sd`` is the periods' generator decomposition; ``name(b)`` names member b in errors.
-    """
-    mu = spectra.eigenvalues
-    with np.errstate(divide="ignore"):
-        candidate_rates = -np.log(np.abs(mu)) / taus[:, None]
-    candidate_rates = np.where(np.isfinite(candidate_rates), candidate_rates, np.inf)
-    readout, prepare = sd.operator.boundary
-    defective = spectra.defective
-    near = _rate_resolution(spectra.condition, defective, 1.0 / taus)
-    rates = _select_rates(candidate_rates, _mode_weights((readout, prepare), spectra), near, name)
-    # U**n = V_r B L_r with B the block form of mu**n, so the transfer is real by construction.
-    modes = _pair_scaled(readout @ spectra.v_r, spectra.partner, mu**n_pulses)
-    transfer = modes @ (spectra.l_r @ prepare)
-    if defective.any():  # their schedules, pulse then free tau, composed as one grid
-        steps = [("pulse", _PI_PULSES[axis]), ("free", taus[defective])] * n_pulses
-        transfer[defective] = _compose(sd, steps, prepare)
-    return [BangBangResult(transfer=transfer[b], eigenvalues=mu[b],
-                           candidate_rates=candidate_rates[b], rates=rates.member(b, defective[b]),
-                           tau=float(tau), n_pulses=n_pulses, axis=axis)
-            for b, tau in enumerate(taus)]
 
 
 def echo_signal(sys: SystemSpec, t_grid, sd: SpectralDecomposition | None = None) -> np.ndarray:

@@ -535,8 +535,10 @@ def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarra
 
     ``steps`` lists in order of action ``("free", t)``, t a duration or a grid
     of T durations, and ``("pulse", R)``, R a 3x3 rotation of the Bloch index.
-    ``prepare`` holds the m columns of the preparation map the caller reads,
-    all three for a transfer matrix; each factor costs in proportion to m.
+    Free steps and pulses alternate: a pulse stands between any two free steps, so
+    each free step starts from the state basis.  ``prepare`` holds the m columns of
+    the preparation map the caller reads, all three for a transfer matrix; each
+    factor costs in proportion to m.
     """
     readout = sd.operator.boundary[0]
     d, m = prepare.shape
@@ -559,11 +561,8 @@ def _compose(sd: SpectralDecomposition, steps, prepare: np.ndarray) -> np.ndarra
     block, decay = prepare, None
     for kind, value in steps:
         if kind == "free":
-            factor = np.exp(np.multiply.outer(-np.ravel(value), lam))
-            if decay is None:
-                block, decay = _complex_columns((sd.l_r @ block).T, sd, half).conj().T, factor
-            else:
-                decay = decay * factor
+            block = _complex_columns((sd.l_r @ block).T, sd, half).conj().T
+            decay = np.exp(np.multiply.outer(-np.ravel(value), lam))
             continue
         if decay is not None:
             coeffs = decay.T[:, :, None] * block.reshape(h, -1, m)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qtel import detect_plateaus, detect_steps, fit_exponential_decay
+from qtel import Plateau, detect_plateaus, detect_steps, fit_exponential_decay
 from qtel.analysis import _local_maxima, _runs
 
 
@@ -38,6 +38,10 @@ class TestPlateauDetection:
         times = np.linspace(0, 10, 101)
         assert detect_plateaus(times, np.ones_like(times)) == ()
 
+    def test_plateau_span(self):
+        plateau = Plateau(t_start=2.0, t_end=5.0)
+        assert (plateau.duration, plateau.midpoint) == (3.0, 3.5)
+
 
 class TestStepDetection:
     def test_staircase_period_recovered(self):
@@ -45,6 +49,12 @@ class TestStepDetection:
         steps = detect_steps(times, staircase(times, period=8.0))
         assert steps.has_steps
         assert abs(steps.period - 8.0) < 0.8
+
+    def test_rising_curve_has_no_drops(self):
+        times = np.linspace(0, 20, 201)
+        steps = detect_steps(times, np.exp(0.1 * times))
+        assert not steps.has_steps and np.isnan(steps.period)
+        assert steps.drop_times == () and steps.plateaus == ()
 
     def test_exponential_is_not_steppy(self):
         times = np.linspace(0, 80, 2001)

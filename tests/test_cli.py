@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qtel import cli, dynamics, superop
 from qtel.cli import ConfigError, ExperimentConfig, presets, run, main
 from qtel.dynamics import echo_signal
 from qtel.oracle import sample_trajectories
+from qtel.rates import angle_sweep
 from qtel.superop import decoherence_generator, spectral_decomposition, transfer_from_spectral
 
 # Every preset on a grid small enough for the suite, keeping its experiment and parameters.
@@ -204,17 +206,65 @@ class TestConfigValidation:
             pytest.param({"t_points": "5"}, "t_points: must be an integer", id="int-as-string"),
             pytest.param({"t_points": 5.5}, "t_points: must be an integer", id="int-as-float"),
             pytest.param({"g": "0.3"}, "g: must be a number", id="float-as-string"),
+            pytest.param({"initial": [1.0, "0", 0.0]}, "initial: must be a list of numbers",
+                         id="list-with-a-string"),
+            pytest.param({"initial": 1.0}, "initial: must be a list of numbers",
+                         id="number-as-list"),
         ],
     )
     def test_field_types_checked(self, override, line):
         with pytest.raises(ConfigError, match=rf"\n  {line}$"):
             ExperimentConfig.from_dict(presets()["fig2"] | override)
 
+    # Each rule of the CLI's own fields refuses a config with its one line.
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            pytest.param({"g": 0.3}, "experiment: required", id="experiment"),
+            pytest.param(MC_VERIFY | {"workers": 0}, "workers: must be >= 1", id="workers"),
+            pytest.param({k: v for k, v in presets()["fig2"].items() if k != "theta"},
+                         "theta: required when g is given as a magnitude", id="theta"),
+            pytest.param({k: v for k, v in presets()["fig3a"].items() if k != "eta_values"},
+                         "eta_values: required (use [0.0] for symmetric switching)",
+                         id="eta_values"),
+            pytest.param(presets()["fig2"] | {"frame": "body"},
+                         "frame: must be 'lab' or 'rotating'", id="frame"),
+            pytest.param(presets()["fig4a"] | {"tau_spacing": "cubic"},
+                         "tau_spacing: must be 'linear' or 'log'", id="tau_spacing"),
+            pytest.param(presets()["fig4a"] | {"pulse_axis": "z"},
+                         "pulse_axis: must be 'x' or 'y'", id="pulse_axis"),
+            pytest.param(presets()["fig4a"] | {"tau_min": 0.0},
+                         "tau_min/tau_max/tau_points: required increasing grid, tau_min > 0",
+                         id="tau-grid"),
+            pytest.param({k: v for k, v in MC_VERIFY.items() if k != "probe_times"},
+                         "probe_times: required", id="probe_times-missing"),
+            pytest.param(MC_VERIFY | {"probe_times": [2.0, 1.0]},
+                         "probe_times: must be positive and strictly increasing",
+                         id="probe_times-decreasing"),
+            pytest.param(MC_VERIFY | {"n_samples": 1}, "n_samples: must be >= 2", id="n_samples"),
+            pytest.param({"experiment": "enum-verify", "n_steps": 21},
+                         "n_steps: must be in [1, 20]", id="n_steps-above"),
+            pytest.param({"experiment": "enum-verify", "n_steps": 0},
+                         "n_steps: must be in [1, 20]", id="n_steps-zero"),
+        ],
+    )
+    def test_rule_refused_by_its_line(self, raw, line):
+        with pytest.raises(ConfigError, match=rf"\n  {re.escape(line)}(\n|$)"):
+            ExperimentConfig.from_dict(raw)
+
     def test_round_trip_dict(self):
         raw = presets()["fig2"]
         cfg = ExperimentConfig.from_dict(raw)
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert cfg == again
+
+    def test_to_dict_turns_arrays_into_lists(self):
+        cfg = ExperimentConfig(experiment="rates-sweep", g=0.1, theta_values=np.array([0.1, 0.2]),
+                               eta_values=np.array([0.0]))
+        out = cfg.to_dict()
+        assert type(out["theta_values"]) is list and out["theta_values"] == [0.1, 0.2]
+        assert type(out["eta_values"]) is list and out["eta_values"] == [0.0]
+        assert json.loads(json.dumps(out)) == out
 
 
 class TestPresets:
@@ -427,6 +477,40 @@ class TestRun:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(cli.os, "replace", failing)
+        with pytest.raises(OSError, match="replace failed"):
+            cli._atomic_write(tmp_path / "out" / "table.csv", "x\n")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("columns, units, width", [
+        pytest.param(("a", "b"), ("1", "1"), 3, id="rows-wider"),
+        pytest.param(("a", "b"), ("1",), 2, id="units-fewer"),
+        pytest.param(("a",), ("1", "1"), 1, id="units-more"),
+    ])
+    def test_table_widths_must_agree(self, columns, units, width):
+        cfg = ExperimentConfig.from_dict({"experiment": "enum-verify"})
+        with pytest.raises(ValueError, match="^column, unit and row-width counts must agree$"):
+            cli.ResultTable("table", columns, units, np.zeros((2, width)), cfg)
+
+    def test_rates_sweep_at_given_angles(self, tmp_path):
+        # Each eta's rows are angle_sweep's at those angles, in the order given.
+        thetas, etas = [1.2, 0.1, 0.7], [0.0, 0.1]
+        cfg = ExperimentConfig.from_dict({"experiment": "rates-sweep", "gamma": 0.5, "g": 0.1,
+                                          "theta_values": thetas, "eta_values": etas})
+        rows = np.loadtxt(run(cfg, tmp_path), delimiter=",", skiprows=2)
+        assert rows.shape == (len(etas) * len(thetas), 5)
+        for k, eta in enumerate(etas):
+            s = angle_sweep(1.0, 0.1, 0.5, eta, np.array(thetas))
+            want = np.column_stack([s.theta, np.full_like(s.theta, eta), s.rate_z, s.rate_xy,
+                                    s.rate_2_star])
+            # rate_2_star is NaN where eta != 0 (the perturbative form takes eta = 0 only)
+            assert np.array_equal(rows[k * len(thetas):(k + 1) * len(thetas)], want,
+                                  equal_nan=True)
+
 
 class TestCliEntryPoint:
     def test_list_presets(self):
@@ -485,6 +569,28 @@ class TestCliEntryPoint:
         result = CliRunner().invoke(main, ["mc-verify", "--config", str(config), "--threads", "2",
                                            "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("{not json", "Error: config parse error: ", id="not-json"),
+        pytest.param("[1, 2]", "Error: config file must hold a JSON object", id="json-list"),
+    ])
+    def test_config_file_that_is_no_object_refused(self, tmp_path, text, line):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        result = CliRunner().invoke(main, ["fig2", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith(line)
+        assert not (tmp_path / "fig2.csv").exists()
+
+    def test_failing_run_names_its_experiment(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("enumeration broke")
+
+        monkeypatch.setattr(cli, "enumerate_sequences", failing)
+        result = CliRunner().invoke(main, ["enum-verify", "--out", str(tmp_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output == "Error: enum-verify failed: enumeration broke\n"
+        assert not (tmp_path / "enum-verify.csv").exists()
 
     def test_enum_verify_prints_error_line(self, tmp_path):
         result = CliRunner().invoke(main, ["enum-verify", "--out", str(tmp_path)])

@@ -807,6 +807,16 @@ class TestBlochTrajectory:
         with pytest.raises(ValueError, match="points must be finite"):
             BlochTrajectory(times=np.array([0.0, 1.0]), points=points, frame="lab")
 
+    @pytest.mark.parametrize("times, points", [
+        pytest.param(np.array([0.0, 1.0]), np.zeros((3, 3)), id="more-points"),
+        pytest.param(np.array([0.0, 1.0]), np.zeros((2, 2)), id="two-components"),
+        pytest.param(np.array([[0.0, 1.0]]), np.zeros((2, 3)), id="2-d-times"),
+    ])
+    def test_rejects_mismatched_shapes(self, times, points):
+        message = r"^times must be 1-d and points of shape \(len\(times\), 3\)$"
+        with pytest.raises(ValueError, match=message):
+            BlochTrajectory(times=times, points=points, frame="lab")
+
     def test_rejects_unknown_frame(self):
         with pytest.raises(ValueError, match="frame"):
             BlochTrajectory(

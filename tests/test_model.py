@@ -7,12 +7,14 @@ from qtel import (
     BlochVector,
     FluctuatorDistribution,
     FluctuatorSpec,
+    SystemSpec,
     boundary_vectors,
     rotation_matrix,
     so3_generators,
     stationary_distribution,
     step_rotation,
 )
+from qtel.model import as_bloch_array
 
 
 class TestGenerators:
@@ -200,9 +202,29 @@ class TestBoundaryVectors:
             readout, prepare = boundary_vectors(dists)
             assert abs(readout @ prepare - 1.0) < 1e-14
 
+    def test_no_distribution_rejected(self):
+        with pytest.raises(ValueError, match="^at least one distribution is required$"):
+            boundary_vectors([])
+
+
+def test_system_without_fluctuators_rejected():
+    with pytest.raises(ValueError, match="^at least one fluctuator is required$"):
+        SystemSpec(b0=1.0, fluctuators=())
+
 
 class TestBlochVector:
     def test_ball_membership_enforced(self):
         BlochVector(np.array([0.6, 0.0, 0.8]))
         with pytest.raises(ValueError, match="Bloch"):
             BlochVector(np.array([1.0, 1.0, 1.0]))
+
+    def test_norm(self):
+        assert BlochVector(np.array([0.6, 0.0, 0.8])).norm == 1.0
+        assert BlochVector(np.array([0.0, 0.3, 0.4])).norm == 0.5
+
+    def test_as_bloch_array_copies_a_bloch_vector(self):
+        vector = BlochVector(np.array([0.6, 0.0, 0.8]))
+        array = as_bloch_array(vector)
+        assert np.array_equal(array, [0.6, 0.0, 0.8]) and array.dtype == np.float64
+        array[0] = 0.0  # a writable copy: the frozen vector keeps its value
+        assert vector.n[0] == 0.6

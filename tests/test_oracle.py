@@ -245,6 +245,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=message):
             sample_trajectories(make_system(), X_AXIS, [1.0], seed=0, **kwargs)
 
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [[1.0, 2.0]], []],
+                             ids=["decreasing", "repeated", "negative", "2-d", "empty"])
+    def test_bad_time_grid_rejected(self, times):
+        with pytest.raises(ValueError, match="^t_grid must be 1-d, strictly increasing and >= 0$"):
+            sample_trajectories(make_system(), X_AXIS, times, n_samples=10, seed=0)
+
+    def test_one_sample_has_zero_stderr(self):
+        sys = make_system(theta=0.4, eta=0.05)
+        one = sample_trajectories(sys, X_AXIS, [1.0, 2.0], n_samples=1, seed=3)
+        assert one.n_samples == 1 and one.stderr.shape == (2, 3)
+        assert np.array_equal(one.stderr, np.zeros((2, 3)))
+        # The one trajectory is a rotation of the unit vector.
+        assert_allclose(np.linalg.norm(one.mean, axis=1), 1.0, rtol=1e-12)
+
     def test_numpy_integer_counts_accepted(self):
         sys = make_system(theta=0.4, eta=0.05)
         got = sample_trajectories(sys, X_AXIS, [1.0], np.int64(10), seed=np.uint64(0),
@@ -539,6 +553,13 @@ class TestDwellTimes:
         with pytest.raises(ValueError, match="frozen"):
             sample_dwell_times(f, 100, seed=1)
 
+    def test_zero_rate_rejected(self):
+        # |eta| = gamma = 0: neither level is ever left.
+        f = FluctuatorSpec(g=[0, 0, 0.3], gamma=0.0, eta=0.0,
+                           initial_distribution=FluctuatorDistribution.from_upper(0.5))
+        with pytest.raises(ValueError, match="^frozen fluctuator has no finite dwell times$"):
+            sample_dwell_times(f, 100, seed=1)
+
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -583,6 +604,12 @@ class TestEmpiricalSpectrum:
     def test_biased_noise_rejected(self):
         f = FluctuatorSpec(g=[0.1, 0, 0], gamma=0.5, eta=0.1)
         with pytest.raises(ValueError, match="eta"):
+            empirical_spectrum(f, n_samples=10, seed=0)
+
+    def test_zero_rate_rejected(self):
+        f = FluctuatorSpec(g=[0.1, 0, 0], gamma=0.0, eta=0.0,
+                           initial_distribution=FluctuatorDistribution.from_upper(0.5))
+        with pytest.raises(ValueError, match="^gamma must be > 0$"):
             empirical_spectrum(f, n_samples=10, seed=0)
 
     @pytest.mark.parametrize(

@@ -303,6 +303,11 @@ class TestLongitudinalClosedForm:
         rates = longitudinal_rates(1.0, 0.3, 0.1, sign * 0.1)
         assert abs(rates.rate_xy) < 1e-12
 
+    @pytest.mark.parametrize("gamma, eta", [(0.1, 0.2), (0.1, -0.2), (-0.1, 0.0)])
+    def test_imbalance_beyond_rate_rejected(self, gamma, eta):
+        with pytest.raises(ValueError, match=r"^require gamma >= 0 and \|eta\| <= gamma$"):
+            longitudinal_rates(1.0, 0.3, gamma, eta)
+
     def test_matches_numerical_extraction_on_grid(self):
         for gamma in (0.05, 0.12, 0.5, 1.1):
             for g in (0.02, 0.1, 0.4):
@@ -428,6 +433,12 @@ class TestPerturbativeRates:
     def test_nonzero_imbalance_rejected(self):
         with pytest.raises(ValueError, match="eta"):
             perturbative_rates(1.0, 0.1, 0.5, theta=0.3, eta=0.1)
+
+    def test_inconsistent_total_rejected(self):
+        pert = perturbative_rates(1.0, 0.1, 0.5, theta=0.3)
+        message = r"^rate_2_star must equal rate_1 / 2 \+ rate_phi exactly$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(pert, rate_2_star=2.0 * pert.rate_2_star)
 
     def test_weak_coupling_consistency_across_angles(self):
         # g / gamma <= 0.2: perturbative 1/T2* within 5% of exact.

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,42 @@ class TestGenerator:
             SystemSpec(b0=1.0, fluctuators=(f,) * 9)
 
 
+class TestFastSwitchingLimit:
+    """Fast symmetric switching is white noise (motional narrowing).
+
+    A fluctuator with rate gamma_f, eta = 0 and coupling sqrt(v gamma_f) along one axis
+    tends, as gamma_f grows, to white noise of variance v on that axis in the convention
+    of ``white_noise``, with an error first order in 1 / gamma_f.  The reference is the
+    generator's white-noise term, checked here against switching, its only other path.
+    """
+
+    SLOW = FluctuatorSpec(g=0.3 * np.array([np.sin(0.7), 0.0, np.cos(0.7)]), gamma=0.2,
+                          eta=0.05)
+    WHITE = (0.05, 0.0, 0.02)
+    TIMES = np.linspace(0.0, 20.0, 41)
+
+    def transfer(self, sys):
+        return transfer_from_spectral(spectral_decomposition(decoherence_generator(sys)),
+                                      self.TIMES)
+
+    def fast(self, gamma_f):
+        """The slow fluctuator with one fast fluctuator per non-zero white variance."""
+        fast = tuple(FluctuatorSpec(g=np.sqrt(v * gamma_f) * axis, gamma=gamma_f, eta=0.0)
+                     for v, axis in zip(self.WHITE, np.eye(3)) if v > 0)
+        return self.transfer(SystemSpec(b0=1.0, fluctuators=(self.SLOW, *fast)))
+
+    def test_fast_switching_tends_to_white_noise(self):
+        white = self.transfer(SystemSpec(b0=1.0, fluctuators=(self.SLOW,),
+                                         white_noise=self.WHITE))
+        errors = [np.abs(self.fast(gamma_f) - white).max() for gamma_f in (1e1, 1e2, 1e3, 1e4)]
+        # 1.8e-3 at gamma_f = 10, then a factor 10 less per decade.
+        assert 1e-3 < errors[0] < 3e-3
+        assert_allclose(np.diff(np.log10(errors)), -1.0, atol=0.02)
+        # Richardson extrapolation removes the 1 / gamma_f term: 2.7e-8 apart.
+        extrapolated = 2.0 * self.fast(2000.0) - self.fast(1000.0)
+        assert np.abs(extrapolated - white).max() < 1e-6
+
+
 class TestSpectralDecomposition:
     @pytest.mark.parametrize("dtype", [np.float64])
     def test_superoperator_keeps_input_dtype(self, dtype):
@@ -294,6 +331,12 @@ class TestSpectralDecomposition:
     def test_complex_superoperator_rejected(self):
         with pytest.raises(ValueError, match="real matrix, got dtype complex128"):
             Superoperator(mat=np.eye(6, dtype=complex), kind=KIND_GENERATOR, system=make_system())
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (12, 12), (6,)])
+    def test_wrong_shape_rejected(self, shape):
+        message = f"operator must be 6x6, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Superoperator(mat=np.zeros(shape), kind=KIND_GENERATOR, system=make_system())
 
     @pytest.mark.parametrize("kind", ["gen", "Generator", "discrete_step", ""])
     def test_unknown_kind_rejected(self, kind):
@@ -729,6 +772,10 @@ class TestEvolveOperator:
         step = discrete_transfer_operator(make_system(), 0.1)
         with pytest.raises(ValueError, match="generator"):
             evolve_operator(step, 1.0)
+        sd = spectral_decomposition(step)
+        with pytest.raises(ValueError, match="^transfer_from_spectral requires a generator-kind "
+                                             "superoperator$"):
+            transfer_from_spectral(sd, [1.0])
 
     def test_nan_time_raises(self):
         # A NaN time is rejected with the argument's name, before any contraction.
